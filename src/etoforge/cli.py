@@ -126,10 +126,6 @@ def cmd_ingest_forecast(cfg) -> int:
     return 0
 
 
-def _clamped(values):
-    return np.maximum(np.asarray(values, dtype=np.float64), 0.0)
-
-
 def cmd_train(cfg, target: str) -> int:
     observations = _load_observations(cfg)
     site = cfg.site()
@@ -148,7 +144,7 @@ def cmd_train(cfg, target: str) -> int:
     model = regressor.train((X[fit], y[fit]), (cfg.hidden, cfg.activation),
                             cfg.train_config(), feature_names=cfg.features,
                             target_name=target)
-    predictions = _clamped(regressor.predict_batch(model, X[hold]))
+    predictions = np.maximum(regressor.predict_batch(model, X[hold]), 0.0)
     report = evalkit.metrics(y[hold], predictions,
                              mape_epsilon=evalkit.MAPE_EPSILON[target],
                              units=evalkit.UNITS_NOTE[target])
@@ -166,17 +162,14 @@ def cmd_train(cfg, target: str) -> int:
 
 def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
     estimator = estimator.upper()
-    needs = ("ET0",) if estimator == "ET0_ANN" else ("SR",)
-    models = {t: _load_model(cfg, t) for t in needs}
-    site = cfg.site()
-    rows = []
-    model = models.get("ET0") or models.get("SR")
+    if estimator == "ET0_ANN":
+        bundle = pipelines.ModelBundle(et0_model=_load_model(cfg, "ET0"))
+    else:
+        bundle = pipelines.ModelBundle(sr_model=_load_model(cfg, "SR"))
     if source == "ws":
-        for obs in _load_observations(cfg):
-            fv = pipelines.make_features(obs, site, model.feature_names)
-            rows.append(pipelines.PredictionRow(
-                obs.date, "WS", None, estimator,
-                _predict_one(estimator, models, fv, obs, site, wind_height=None)))
+        records = _load_observations(cfg)
+        keys = [(obs.date, "WS", None) for obs in records]
+        wind_height = None
     else:
         provider = source.upper()
         records = [r for r in _load_forecasts(cfg)
@@ -185,12 +178,12 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
         if not records:
             raise ConfigError(f"no {provider} forecast records"
                               + (f" at horizon d{horizon}" if horizon is not None else ""))
-        for rec in records:
-            fv = pipelines.make_features(rec, site, model.feature_names)
-            rows.append(pipelines.PredictionRow(
-                rec.target_date, provider, rec.horizon, estimator,
-                _predict_one(estimator, models, fv, rec, site,
-                             wind_height=cfg.forecast_wind_height)))
+        keys = [(rec.target_date, provider, rec.horizon) for rec in records]
+        wind_height = cfg.forecast_wind_height
+    values, clamped = pipelines.estimate(estimator, bundle, records, cfg.site(),
+                                         wind_height)
+    rows = [pipelines.PredictionRow(day, tag, h, estimator, pipelines.Prediction(v, c))
+            for (day, tag, h), v, c in zip(keys, values.tolist(), clamped.tolist())]
     suffix = f"_d{horizon}" if horizon is not None else ""
     name = f"predictions_{estimator.lower()}_{source}{suffix}.csv"
     _write(cfg.out_dir, name, pipelines.predictions_csv(rows))
@@ -199,22 +192,11 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
     return 0
 
 
-def _predict_one(estimator, models, fv, raw_record, site, wind_height):
-    if estimator == "ET0_ANN":
-        return pipelines.et0_ann_predict(models["ET0"], fv)
-    if estimator == "SR_ANN":
-        return pipelines.sr_ann_predict(models["SR"], fv)
-    if estimator == "ET0_HYB":
-        return pipelines.et0_hybrid_predict(
-            models["SR"], fv, raw_record, site, wind_height=wind_height)
-    raise ConfigError(f"unknown estimator {estimator!r}")
-
-
 def cmd_evaluate(cfg) -> int:
     observations = _load_observations(cfg)
     forecasts = _load_forecasts(cfg)
-    bundle = evalkit.ModelBundle(et0_model=_load_model(cfg, "ET0"),
-                                 sr_model=_load_model(cfg, "SR"))
+    bundle = pipelines.ModelBundle(et0_model=_load_model(cfg, "ET0"),
+                                   sr_model=_load_model(cfg, "SR"))
     site = cfg.site()
 
     sweep = evalkit.horizon_sweep(
@@ -224,18 +206,13 @@ def cmd_evaluate(cfg) -> int:
         forecast_wind_height=cfg.forecast_wind_height)
     fidelity = evalkit.compare_forecast_fidelity(
         observations, forecasts, providers=cfg.providers, horizons=cfg.horizons)
-    distribution = evalkit.error_distribution(
-        bundle, observations, forecasts, site,
-        horizons=cfg.horizons, providers=cfg.providers,
-        humidity_mode=cfg.humidity_mode,
-        forecast_wind_height=cfg.forecast_wind_height)
 
     for key, reason in sweep.omissions:
         print(f"omitted cell {key}: {reason}", file=sys.stderr)
 
     _write(cfg.out_dir, "sweep.csv", evalkit.emit_report(sweep, "csv"))
     _write(cfg.out_dir, "fidelity.csv", evalkit.emit_report(fidelity, "csv"))
-    _write(cfg.out_dir, "distributions.csv", evalkit.emit_report(distribution, "csv"))
+    _write(cfg.out_dir, "distributions.csv", evalkit.emit_report(sweep.errors, "csv"))
 
     usable_lines = ["criterion,threshold,provider,estimator,usable_horizon"]
     for name, tau in (("r2", cfg.r2_threshold), ("mape", cfg.mape_threshold)):

@@ -15,17 +15,22 @@ class UnitError(EtoforgeError):
     """A column has no declared unit, or the declared unit is unknown."""
 
 
-class RangeError(EtoforgeError):
+class RowError(EtoforgeError):
+    """An error that can name the offending row; `detail` is the message without it."""
+
+    def __init__(self, message, row=None):
+        self.detail = message
+        self.row = row
+        if row is not None:
+            message = f"row {row}: {message}"
+        super().__init__(message)
+
+
+class RangeError(RowError):
     """A value violates a domain-type invariant.
 
     Carries the offending row number when raised during file parsing.
     """
-
-    def __init__(self, message, row=None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
 
 
 class DuplicateDate(EtoforgeError):
@@ -64,7 +69,7 @@ class CacheMiss(EtoforgeError):
 
 # --- numerics ---------------------------------------------------------------
 
-class DomainError(EtoforgeError):
+class DomainError(RowError):
     """An input lies outside the mathematical domain of a formula."""
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import pipelines
 from .errors import (DegenerateActuals, EmptyInput, LengthMismatch,
-                     MissingCells, NoModels, NonFinite, RangeError)
-from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR
+                     MissingCells, NonFinite, RangeError)
+from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR, ModelBundle
 from .weather.records import MAX_HORIZON, PROVIDERS, align_horizons
 
 MAPE_EPSILON = {TARGET_ET0: 0.05, TARGET_SR: 1.0}
@@ -106,6 +106,20 @@ def metrics(actual, predicted, *, mape_epsilon: float = 1e-9,
                         n=n, mape_excluded=excluded, units=units)
 
 
+_CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, RangeError)
+
+
+def _aligned_cells(observations, forecasts, providers, horizons):
+    """(provider, horizon, AlignResult) per cell, grouping the forecasts in one pass."""
+    groups = {}
+    for f in forecasts:
+        groups.setdefault((f.provider, f.horizon), []).append(f)
+    for provider in providers:
+        for horizon in horizons:
+            yield provider, horizon, align_horizons(
+                observations, groups.get((provider, horizon), ()), horizon)
+
+
 @dataclass(frozen=True)
 class FidelityReport:
     """R^2 of the raw forecast features against the station measurements."""
@@ -128,47 +142,20 @@ def compare_forecast_fidelity(observations, forecasts,
         providers = tuple(sorted({f.provider for f in forecasts})) or PROVIDERS
     cells = {}
     omissions = []
-    by_provider = {p: [f for f in forecasts if f.provider == p] for p in providers}
-    obs_by_date = {o.date: o for o in observations}
-    for provider in providers:
-        for horizon in horizons:
-            aligned = align_horizons(observations, by_provider[provider], horizon)
-            for feature in features:
-                attr = _FEATURE_ATTR[feature]
-                key = (feature, provider, horizon)
-                series = [
-                    (getattr(obs_by_date[pair.date], attr),
-                     getattr(pair.forecast, attr))
-                    for pair in aligned.pairs
-                    if getattr(pair.forecast, attr) is not None
-                ]
-                try:
-                    if len(series) < 2:
-                        raise LengthMismatch(f"only {len(series)} usable pairs")
-                    actual = [s[0] for s in series]
-                    predicted = [s[1] for s in series]
-                    cells[key] = metrics(actual, predicted).r2
-                except (LengthMismatch, DegenerateActuals, NonFinite) as exc:
-                    omissions.append((key, str(exc)))
+    for provider, horizon, aligned in _aligned_cells(observations, forecasts,
+                                                      providers, horizons):
+        for feature in features:
+            attr = _FEATURE_ATTR[feature]
+            key = (feature, provider, horizon)
+            pairs = [p for p in aligned.pairs if getattr(p.forecast, attr) is not None]
+            try:
+                if len(pairs) < 2:
+                    raise LengthMismatch(f"only {len(pairs)} usable pairs")
+                cells[key] = metrics([getattr(p.observed, attr) for p in pairs],
+                                     [getattr(p.forecast, attr) for p in pairs]).r2
+            except (LengthMismatch, DegenerateActuals, NonFinite) as exc:
+                omissions.append((key, str(exc)))
     return FidelityReport(cells=cells, omissions=tuple(omissions))
-
-
-@dataclass(frozen=True)
-class ModelBundle:
-    """The trained models the three estimators draw on."""
-
-    et0_model: object = None
-    sr_model: object = None
-
-    def require(self, estimator: str):
-        if estimator == "ET0_ANN":
-            if self.et0_model is None:
-                raise NoModels("ET0_ANN needs a trained ET0 model")
-        elif estimator in ("SR_ANN", "ET0_HYB"):
-            if self.sr_model is None:
-                raise NoModels(f"{estimator} needs a trained SR model")
-        else:
-            raise RangeError(f"unknown estimator {estimator!r}")
 
 
 @dataclass(frozen=True)
@@ -179,36 +166,12 @@ class HorizonSweep:
     coverage: dict         # (horizon, provider, estimator) -> matched/total
     omissions: tuple = ()
     metadata: dict = field(default_factory=dict)
+    # key -> [(date, |error|)] the cells were scored from; not emitted
+    errors: dict = field(default_factory=dict, compare=False, repr=False)
 
     def horizons(self, provider: str, estimator: str):
         return sorted(h for (h, p, e) in self.cells
                       if p == provider and e == estimator)
-
-
-def _cell_series(models: ModelBundle, pairs, site, estimator, humidity_mode,
-                 forecast_wind_height):
-    """Aligned (dates, actual, predicted) lists for one estimator."""
-    usable = [p for p in pairs
-              if p.forecast.rh_avg is not None and p.forecast.wind_avg is not None]
-    dates = [p.date for p in usable]
-    obs = [p.observed for p in usable]
-    if estimator == "SR_ANN":
-        actual = list(pipelines.build_sr_target(obs).values)
-    else:
-        actual = list(pipelines.build_et0_target(obs, site, humidity_mode).values)
-    model = models.et0_model if estimator == "ET0_ANN" else models.sr_model
-    predicted = []
-    for pair in usable:
-        fv = pipelines.make_features(pair.forecast, site, model.feature_names)
-        if estimator == "ET0_ANN":
-            predicted.append(pipelines.et0_ann_predict(models.et0_model, fv).value)
-        elif estimator == "SR_ANN":
-            predicted.append(pipelines.sr_ann_predict(models.sr_model, fv).value)
-        else:
-            predicted.append(pipelines.et0_hybrid_predict(
-                models.sr_model, fv, pair.forecast, site,
-                wind_height=forecast_wind_height).value)
-    return dates, actual, predicted
 
 
 def horizon_sweep(models: ModelBundle, observations, forecasts, site,
@@ -217,44 +180,54 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
                   forecast_wind_height: float | None = None) -> HorizonSweep:
     """Score every estimator over every (horizon, provider) cell.
 
-    Inference only: models are read, never retrained. Cells with fewer
-    than two matched dates, or that fail metric preconditions, are left
-    out and listed in `omissions` with the reason; the sweep itself never
-    aborts on a cell.
+    Inference only: models are read, never retrained. The station
+    targets are computed once and indexed by date; each cell is scored
+    once, through pipelines.estimate, on its matched dates whose forecast
+    carries humidity and wind. Cells with fewer than two matched dates,
+    or that fail metric preconditions, are left out and listed in
+    `omissions` with the reason; the sweep itself never aborts on a
+    cell. The per-day absolute errors of every scored cell are kept in
+    `errors` (see :func:`error_distribution`).
     """
     for estimator in estimators:
         models.require(estimator)
-    cells, coverage, omissions = {}, {}, []
-    by_provider = {p: [f for f in forecasts if f.provider == p] for p in providers}
+    ordered = sorted(observations, key=lambda o: o.date)
+    row_of = {o.date: i for i, o in enumerate(ordered)}
+    targets = {TARGET_ET0: pipelines.build_et0_target(ordered, site, humidity_mode).values,
+               TARGET_SR: pipelines.build_sr_target(ordered).values}
+    cells, coverage, omissions, errors = {}, {}, [], {}
+    for provider, horizon, aligned in _aligned_cells(observations, forecasts,
+                                                      providers, horizons):
+        usable = [p for p in aligned.pairs
+                  if p.forecast.rh_avg is not None and p.forecast.wind_avg is not None]
+        dates = [p.date for p in usable]
+        rows = np.array([row_of[d] for d in dates], dtype=np.intp)
+        for estimator in estimators:
+            key = (horizon, provider, estimator)
+            kind = TARGET_SR if estimator == "SR_ANN" else TARGET_ET0
+            try:
+                predicted, _ = pipelines.estimate(estimator, models,
+                                                  [p.forecast for p in usable], site,
+                                                  forecast_wind_height)
+                actual = targets[kind][rows]
+                errors[key] = list(zip(dates, np.abs(actual - predicted).tolist()))
+                if aligned.matched < 2:
+                    raise LengthMismatch(f"only {aligned.matched} matched dates")
+                cells[key] = metrics(actual, predicted, mape_epsilon=MAPE_EPSILON[kind],
+                                     units=UNITS_NOTE[kind])
+                coverage[key] = aligned.coverage
+            except _CELL_ERRORS as exc:
+                omissions.append((key, str(exc)))
     wind_note = (pipelines.DEFAULT_FORECAST_WIND_HEIGHT
                  if forecast_wind_height is None else forecast_wind_height)
-    for provider in providers:
-        for horizon in horizons:
-            aligned = align_horizons(observations, by_provider[provider], horizon)
-            for estimator in estimators:
-                key = (horizon, provider, estimator)
-                kind = TARGET_SR if estimator == "SR_ANN" else TARGET_ET0
-                try:
-                    if aligned.matched < 2:
-                        raise LengthMismatch(
-                            f"only {aligned.matched} matched dates")
-                    dates, actual, predicted = _cell_series(
-                        models, aligned.pairs, site, estimator,
-                        humidity_mode, forecast_wind_height)
-                    cells[key] = metrics(
-                        actual, predicted,
-                        mape_epsilon=MAPE_EPSILON[kind], units=UNITS_NOTE[kind])
-                    coverage[key] = aligned.coverage
-                except (LengthMismatch, DegenerateActuals, NonFinite,
-                        RangeError) as exc:
-                    omissions.append((key, str(exc)))
     return HorizonSweep(
         cells=cells, coverage=coverage, omissions=tuple(omissions),
         metadata={
             "humidity_mode": humidity_mode,
             "forecast_wind_height_m": wind_note,
             "metric_pooling": "all matched dates pooled across years",
-        })
+        },
+        errors=errors)
 
 
 def usable_horizon(sweep: HorizonSweep, estimator: str, provider: str,
@@ -291,29 +264,12 @@ def error_distribution(models: ModelBundle, observations, forecasts, site,
     """Raw per-day absolute errors for external distribution plotting.
 
     Returns (horizon, provider, estimator) -> list of (date, |error|),
-    with no binning or density estimation; cells that cannot be evaluated
-    are simply absent, mirroring the sweep's omission policy.
+    with no binning or density estimation. It is a view of the sweep's
+    scored rows (``horizon_sweep(...).errors``): every cell the sweep
+    scored appears, also one whose metrics failed.
     """
-    for estimator in estimators:
-        models.require(estimator)
-    out = {}
-    by_provider = {p: [f for f in forecasts if f.provider == p] for p in providers}
-    for provider in providers:
-        for horizon in horizons:
-            aligned = align_horizons(observations, by_provider[provider], horizon)
-            for estimator in estimators:
-                try:
-                    dates, actual, predicted = _cell_series(
-                        models, aligned.pairs, site, estimator,
-                        humidity_mode, forecast_wind_height)
-                    out[(horizon, provider, estimator)] = [
-                        (d, abs(y - yhat))
-                        for d, y, yhat in zip(dates, actual, predicted)
-                    ]
-                except (LengthMismatch, DegenerateActuals, NonFinite,
-                        RangeError):
-                    continue
-    return out
+    return horizon_sweep(models, observations, forecasts, site, horizons, providers,
+                         estimators, humidity_mode, forecast_wind_height).errors
 
 
 # --- report emission --------------------------------------------------------

@@ -22,8 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fao56
-from .errors import DomainError, FeatureMismatch, MissingField, RangeError
-from .regressor import MlpModel, forward
+from .errors import (DomainError, FeatureMismatch, MissingField, NoModels,
+                     RangeError)
+from .regressor import MlpModel, forward, predict_batch
 from .weather.records import DailyObservation, ForecastRecord, SiteMetadata
 
 FEATURE_NAMES = ("temp_max", "temp_min", "rh_avg", "wind_avg",
@@ -83,8 +84,46 @@ class Prediction(NamedTuple):
     clamped: bool
 
 
-def make_features(record, site: SiteMetadata, names=FEATURE_NAMES) -> FeatureVector:
-    """Build the fixed-order feature row for one observation or forecast.
+@dataclass(frozen=True)
+class ModelBundle:
+    """The trained models the three estimators draw on."""
+
+    et0_model: object = None
+    sr_model: object = None
+
+    def require(self, estimator: str):
+        if estimator == "ET0_ANN":
+            if self.et0_model is None:
+                raise NoModels("ET0_ANN needs a trained ET0 model")
+        elif estimator in ("SR_ANN", "ET0_HYB"):
+            if self.sr_model is None:
+                raise NoModels(f"{estimator} needs a trained SR model")
+        else:
+            raise RangeError(f"unknown estimator {estimator!r}")
+
+
+def _record_day(record) -> dt.date:
+    if isinstance(record, DailyObservation):
+        return record.date
+    if isinstance(record, ForecastRecord):
+        return record.target_date
+    raise FeatureMismatch(f"unsupported record type {type(record).__name__}")
+
+
+def _day_of_year(dates) -> np.ndarray:
+    return np.array([d.timetuple().tm_yday for d in dates], dtype=np.int64)
+
+
+def _weather_column(records, name) -> np.ndarray:
+    """One raw weather field over `records`; MissingField if any record lacks it."""
+    values = [getattr(record, name, None) for record in records]
+    if None in values:
+        raise MissingField(name)
+    return np.array(values, dtype=np.float64)
+
+
+def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
+    """Feature rows for many records: (matrix, dates) in input order.
 
     `names` may select a subset of the canonical features (order is
     taken from `names` and must match between training and inference).
@@ -92,59 +131,68 @@ def make_features(record, site: SiteMetadata, names=FEATURE_NAMES) -> FeatureVec
     calendar features use a 365.25-day period, so Dec 31 and Jan 1 land
     next to each other on the cycle.
     """
-    if isinstance(record, DailyObservation):
-        source, horizon, day = "WS", None, record.date
-    elif isinstance(record, ForecastRecord):
-        source, horizon, day = record.provider, record.horizon, record.target_date
-    else:
-        raise FeatureMismatch(f"unsupported record type {type(record).__name__}")
     names = tuple(names)
     unknown = [n for n in names if n not in FEATURE_NAMES]
     if unknown:
         raise FeatureMismatch(f"unknown feature name(s) {unknown}")
-    for name in ("temp_max", "temp_min", "rh_avg", "wind_avg"):
-        if name in names and getattr(record, name, None) is None:
-            raise MissingField(name)
-    doy = day.timetuple().tm_yday
+    records = list(records)
+    dates = [_record_day(r) for r in records]
+    if not records:
+        return np.zeros((0, len(names))), []
+    columns = {name: _weather_column(records, name)
+               for name in ("temp_max", "temp_min", "rh_avg", "wind_avg")
+               if name in names}
+    doy = _day_of_year(dates)
     angle = 2.0 * math.pi * doy / DOY_PERIOD
-    full = {
-        "temp_max": record.temp_max,
-        "temp_min": record.temp_min,
-        "rh_avg": record.rh_avg,
-        "wind_avg": record.wind_avg,
-        "doy_sin": math.sin(angle),
-        "doy_cos": math.cos(angle),
-        "ra": fao56.extraterrestrial_radiation(site.latitude_rad, doy),
-    }
-    return FeatureVector(date=day, values=tuple(full[n] for n in names),
-                         names=names, source=source, horizon=horizon)
+    columns["doy_sin"] = np.sin(angle)
+    columns["doy_cos"] = np.cos(angle)
+    columns["ra"] = fao56.extraterrestrial_radiation(site.latitude_rad, doy)
+    return np.column_stack([columns[n] for n in names]), dates
 
 
-def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
-    """Feature rows for many records: (matrix, dates) in input order."""
-    fvs = [make_features(r, site, names) for r in records]
-    if not fvs:
-        return np.zeros((0, len(tuple(names)))), []
-    return np.stack([fv.as_array() for fv in fvs]), [fv.date for fv in fvs]
+def make_features(record, site: SiteMetadata, names=FEATURE_NAMES) -> FeatureVector:
+    """Build the fixed-order feature row for one observation or forecast.
+
+    The one-row case of :func:`feature_matrix`.
+    """
+    matrix, dates = feature_matrix([record], site, names)
+    forecast = isinstance(record, ForecastRecord)
+    return FeatureVector(date=dates[0], values=tuple(matrix[0].tolist()),
+                         names=tuple(names), source=record.provider if forecast else "WS",
+                         horizon=record.horizon if forecast else None)
 
 
-def _et0_for_day(*, temp_max, temp_min, sr_wm2, wind, wind_height, site, date,
-                 humidity_mode, rh_max=None, rh_min=None, rh_avg=None) -> fao56.Et0Result:
-    """The one physics path every ET target/estimate goes through."""
-    inputs = fao56.Et0Inputs(
-        temp_max=temp_max,
-        temp_min=temp_min,
-        wind_2m=fao56.wind_to_2m(wind, wind_height),
-        solar_rad=fao56.sr_wm2_to_mj(sr_wm2),
-        latitude=site.latitude_rad,
-        elevation=site.elevation,
-        day_of_year=date.timetuple().tm_yday,
-        humidity_mode=humidity_mode,
-        rh_max=rh_max,
-        rh_min=rh_min,
-        rh_avg=rh_avg,
-    )
-    return fao56.et0_fao56pm(inputs)
+def _physics_et0(records, sr_wm2, site: SiteMetadata, humidity_mode: str,
+                 wind_height=None) -> fao56.Et0Result:
+    """The one physics path every ET target and hybrid estimate goes through.
+
+    `records` supply temperature, humidity and wind. Wind height defaults
+    to the site sensor height for observations and to the provider
+    assumption for forecasts. A failing day is named by its date.
+    """
+    dates = [_record_day(r) for r in records]
+    humidity = ("rh_max", "rh_min") if humidity_mode == "extremes" else ("rh_avg",)
+    columns = {name: _weather_column(records, name)
+               for name in ("temp_max", "temp_min", *humidity, "wind_avg")}
+    if wind_height is None:
+        wind_height = np.array([DEFAULT_FORECAST_WIND_HEIGHT
+                                if isinstance(r, ForecastRecord)
+                                else site.wind_sensor_height for r in records])
+    try:
+        return fao56.et0_fao56pm(fao56.Et0Inputs(
+            temp_max=columns["temp_max"],
+            temp_min=columns["temp_min"],
+            wind_2m=fao56.wind_to_2m(columns["wind_avg"], wind_height),
+            solar_rad=fao56.sr_wm2_to_mj(sr_wm2),
+            latitude=site.latitude_rad,
+            elevation=site.elevation,
+            day_of_year=_day_of_year(dates),
+            humidity_mode=humidity_mode,
+            **{name: columns[name] for name in humidity}))
+    except (DomainError, RangeError) as exc:
+        if exc.row is None:
+            raise
+        raise type(exc)(f"{dates[exc.row]}: {exc.detail}") from exc
 
 
 def build_et0_target(observations, site: SiteMetadata,
@@ -156,21 +204,9 @@ def build_et0_target(observations, site: SiteMetadata,
     rh-extremes form (default, stations report extremes) and the
     mean-humidity form used on forecast-driven paths.
     """
-    dates, values = [], []
-    for obs in sorted(observations, key=lambda o: o.date):
-        try:
-            result = _et0_for_day(
-                temp_max=obs.temp_max, temp_min=obs.temp_min,
-                sr_wm2=obs.sr_avg, wind=obs.wind_avg,
-                wind_height=site.wind_sensor_height, site=site, date=obs.date,
-                humidity_mode=humidity_mode,
-                rh_max=obs.rh_max, rh_min=obs.rh_min, rh_avg=obs.rh_avg)
-        except (DomainError, RangeError) as exc:
-            raise type(exc)(f"{obs.date}: {exc}") from exc
-        dates.append(obs.date)
-        values.append(result.et0)
-    return TargetSeries(dates=tuple(dates),
-                        values=np.asarray(values, dtype=np.float64),
+    ordered = sorted(observations, key=lambda o: o.date)
+    result = _physics_et0(ordered, _weather_column(ordered, "sr_avg"), site, humidity_mode)
+    return TargetSeries(dates=tuple(o.date for o in ordered), values=result.et0,
                         kind=TARGET_ET0)
 
 
@@ -186,63 +222,75 @@ def build_sr_target(observations) -> TargetSeries:
         kind=TARGET_SR)
 
 
-def _check_model(model: MlpModel, fv: FeatureVector, target: str):
+def _check_target(model: MlpModel, target: str):
     if model.target_name != target:
         raise FeatureMismatch(
             f"model targets {model.target_name!r}, expected {target!r}")
+
+
+def estimate(estimator: str, bundle: ModelBundle, records, site: SiteMetadata,
+             wind_height: float | None = None):
+    """Score `records` with one estimator: (values, clamped) arrays in record order.
+
+    The one estimator dispatch. ET0_HYB feeds the clamped SR estimate into
+    the physics, flagged if either clamp fired. Each value is the one its
+    record would get if scored alone.
+    """
+    bundle.require(estimator)
+    if estimator == "ET0_ANN":
+        model, target = bundle.et0_model, TARGET_ET0
+    else:
+        model, target = bundle.sr_model, TARGET_SR
+    _check_target(model, target)
+    records = list(records)
+    matrix, _ = feature_matrix(records, site, model.feature_names)
+    raw = predict_batch(model, matrix)
+    values, clamped = np.maximum(raw, 0.0), raw < 0.0
+    if estimator == "ET0_HYB":
+        physics = _physics_et0(records, values, site, "average", wind_height)
+        values, clamped = physics.et0, clamped | physics.clamped
+    return values, clamped
+
+
+def _predict_row(model: MlpModel, fv: FeatureVector, target: str) -> Prediction:
+    _check_target(model, target)
     if tuple(model.feature_names) != tuple(fv.names):
         raise FeatureMismatch(
             f"model features {model.feature_names} do not match "
             f"input features {fv.names}")
+    raw = forward(model, fv.as_array())
+    return Prediction(value=max(raw, 0.0), clamped=raw < 0.0)
 
 
 def et0_ann_predict(model: MlpModel, fv: FeatureVector) -> Prediction:
     """Direct neural reference-ET estimate [mm/day], clamped at zero."""
-    _check_model(model, fv, TARGET_ET0)
-    raw = forward(model, fv.as_array())
-    return Prediction(value=max(raw, 0.0), clamped=raw < 0.0)
+    return _predict_row(model, fv, TARGET_ET0)
 
 
 def sr_ann_predict(model: MlpModel, fv: FeatureVector) -> Prediction:
     """Neural solar-radiation estimate [W/m2], clamped at zero."""
-    _check_model(model, fv, TARGET_SR)
-    raw = forward(model, fv.as_array())
-    return Prediction(value=max(raw, 0.0), clamped=raw < 0.0)
+    return _predict_row(model, fv, TARGET_SR)
 
 
 def et0_from_sr(sr_wm2: float, raw_weather, site: SiteMetadata,
                 wind_height: float | None = None) -> Prediction:
-    """Physics half of the hybrid route: given SR, run the ET equation.
+    """Physics half of the hybrid route for one day: given SR, run the ET equation.
 
     `raw_weather` supplies temperature, mean humidity and wind (an
-    observation or a forecast record). Wind height defaults to the site
-    sensor height for observations and to the provider assumption for
-    forecasts. Exposing this step separately lets a perfect SR value be
-    substituted for the model output, which must reproduce the ET target
-    exactly.
+    observation or a forecast record); wind height defaults as in the
+    hybrid route. Exposing this step separately lets a perfect SR value
+    be substituted for the model output, which must reproduce the ET
+    target exactly.
     """
-    for name in ("temp_max", "temp_min", "rh_avg", "wind_avg"):
-        if getattr(raw_weather, name, None) is None:
-            raise MissingField(name)
-    if wind_height is None:
-        if isinstance(raw_weather, ForecastRecord):
-            wind_height = DEFAULT_FORECAST_WIND_HEIGHT
-        else:
-            wind_height = site.wind_sensor_height
-    date = (raw_weather.target_date if isinstance(raw_weather, ForecastRecord)
-            else raw_weather.date)
-    result = _et0_for_day(
-        temp_max=raw_weather.temp_max, temp_min=raw_weather.temp_min,
-        sr_wm2=sr_wm2, wind=raw_weather.wind_avg, wind_height=wind_height,
-        site=site, date=date, humidity_mode="average",
-        rh_avg=raw_weather.rh_avg)
-    return Prediction(value=result.et0, clamped=result.clamped)
+    result = _physics_et0([raw_weather], np.array([sr_wm2], dtype=np.float64), site,
+                          "average", wind_height)
+    return Prediction(value=float(result.et0[0]), clamped=bool(result.clamped[0]))
 
 
 def et0_hybrid_predict(sr_model: MlpModel, fv: FeatureVector, raw_weather,
                        site: SiteMetadata,
                        wind_height: float | None = None) -> Prediction:
-    """Hybrid reference-ET estimate: neural SR feeding the physics chain."""
+    """Hybrid reference-ET estimate for one day: neural SR feeding the physics chain."""
     sr = sr_ann_predict(sr_model, fv)
     out = et0_from_sr(sr.value, raw_weather, site, wind_height=wind_height)
     return Prediction(value=out.value, clamped=sr.clamped or out.clamped)

@@ -156,7 +156,7 @@ def _forward_scaled(weights, biases, activation, x):
 
 
 def forward(model: MlpModel, row) -> float:
-    """Deterministic scalar prediction for one raw feature row."""
+    """Deterministic scalar prediction for one raw feature row (predict_batch on it)."""
     row = np.asarray(row, dtype=np.float64)
     if row.ndim != 1 or row.shape[0] != model.layer_sizes[0]:
         raise ShapeMismatch(f"expected {model.layer_sizes[0]} features, got {row.shape}")
@@ -165,10 +165,22 @@ def forward(model: MlpModel, row) -> float:
 
 
 def predict_batch(model: MlpModel, rows) -> np.ndarray:
-    """Predictions in raw target units for a (n, d) raw feature matrix."""
-    x = model.scaler.transform(rows)
-    y, _, _ = _forward_scaled(model.weights, model.biases, model.activation, x)
-    return y * model.target_std + model.target_mean
+    """Predictions in raw target units for a (n, d) raw feature matrix.
+
+    Each layer adds up its inputs one at a time with element-wise
+    operations, so a row's prediction is bit-identical in any batch; a
+    BLAS product (blocking and fused multiply-adds chosen by shape) is
+    not. Training keeps the matrix product.
+    """
+    h = model.scaler.transform(rows)
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h[:, :1] * w[0]
+        for k in range(1, w.shape[0]):
+            z += h[:, k:k + 1] * w[k]
+        z += b
+        h = z if i == last else _act(z, model.activation)
+    return h[:, 0] * model.target_std + model.target_mean
 
 
 def _init_params(layer_sizes, rng):
@@ -352,20 +364,14 @@ def gradient_check(model: MlpModel, row, target: float, step: float = 1e-5) -> f
         pred = out[0] * ts + model.target_mean
         return (pred - target) ** 2
 
-    # analytic: dL/dparam = 2 (pred - target) * ts * d(out)/dparam
-    out, pre, acts = _forward_scaled(model.weights, model.biases, model.activation, x)
-    pred = out[0] * ts + model.target_mean
+    # the raw-unit loss is ts^2 times the scaled-unit loss _backprop
+    # differentiates, with the target standardized the same way
     base_loss = loss_fn(model.weights, model.biases)
-    delta = np.array([[2.0 * (pred - target) * ts]])
-    n_layers = len(model.weights)
-    dws = [None] * n_layers
-    dbs = [None] * n_layers
-    d = delta
-    for i in range(n_layers - 1, -1, -1):
-        dws[i] = acts[i].T @ d
-        dbs[i] = d.sum(axis=0)
-        if i > 0:
-            d = (d @ model.weights[i].T) * _act_grad(pre[i - 1], model.activation)
+    scaled_target = np.array([(target - model.target_mean) / ts])
+    _, dws, dbs = _backprop(model.weights, model.biases, model.activation,
+                            x, scaled_target)
+    dws = [g * ts * ts for g in dws]
+    dbs = [g * ts * ts for g in dbs]
 
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
@@ -428,13 +434,19 @@ def load(source) -> MlpModel:
     """Read a model document written by :func:`save`.
 
     Raises VersionMismatch for unknown format versions and CorruptModel
-    when the shape chain is broken or parameters are non-finite.
+    when the document is not JSON, the shape chain is broken or
+    parameters are non-finite.
     """
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CorruptModel(f"model document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorruptModel(f"model document is a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise VersionMismatch(f"model format_version {version!r}; "

@@ -219,23 +219,31 @@ def records_to_jsonl(records) -> str:
 
 
 def records_from_jsonl(text: str) -> list:
-    """Parse a store written by :func:`records_to_jsonl`."""
+    """Parse a store written by :func:`records_to_jsonl`.
+
+    A line that is not a stored record (a truncated or hand-edited
+    store) raises RangeError naming the line.
+    """
     records = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        doc = json.loads(line)
-        records.append(ForecastRecord(
-            provider=doc["provider"],
-            target_date=dt.date.fromisoformat(doc["target_date"]),
-            issue_date=dt.date.fromisoformat(doc["issue_date"]),
-            temp_max=doc["temp_max"],
-            temp_min=doc["temp_min"],
-            rh_avg=doc.get("rh_avg"),
-            wind_avg=doc.get("wind_avg"),
-            precip=doc.get("precip"),
-            extras=doc.get("extras", {})))
+        try:
+            doc = json.loads(line)
+            record = ForecastRecord(
+                provider=doc["provider"],
+                target_date=dt.date.fromisoformat(doc["target_date"]),
+                issue_date=dt.date.fromisoformat(doc["issue_date"]),
+                temp_max=doc["temp_max"],
+                temp_min=doc["temp_min"],
+                rh_avg=doc.get("rh_avg"),
+                wind_avg=doc.get("wind_avg"),
+                precip=doc.get("precip"),
+                extras=doc.get("extras", {}))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise RangeError(f"not a stored forecast record: {exc!r}", row=lineno) from exc
+        records.append(record)
     return records
 
 

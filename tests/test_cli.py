@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shutil
 
 import pytest
 
@@ -190,6 +191,43 @@ def test_predict_forecast_source_with_horizon(big_ws):
     assert len(lines) == 1 + 730
     assert all(l.split(",")[1] == "VC" and l.split(",")[2] == "3"
                for l in lines[1:])
+
+
+@pytest.fixture(scope="module")
+def small_ws(tmp_path_factory, synth):
+    """A 40-day VC-only workspace, ingested and trained, to copy and corrupt."""
+    site, observations, forecasts = synth
+    root = tmp_path_factory.mktemp("cli-small")
+    _write_inputs(root, observations[:40], forecasts["VC"][:640])
+    cfg = _config(root, root / "out", site, epochs=30, providers="VC")
+    for argv in (["ingest", "ws"], ["ingest", "forecast", "--offline"],
+                 ["train", "--target", "et0"], ["train", "--target", "sr"]):
+        assert main(argv + ["--config", str(cfg)]) == 0
+    return {"cfg": cfg, "out": root / "out"}
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+@pytest.mark.parametrize("command, artifact, corrupt", [
+    (["predict", "--estimator", "et0_hyb", "--source", "vc"], "model_sr.json", _truncate),
+    (["predict", "--estimator", "sr_ann", "--source", "ws"], "model_sr.json",
+     lambda path: path.write_bytes(b"")),
+    (["evaluate"], "forecasts.jsonl", _truncate),
+], ids=["truncated-model-predict", "empty-model-predict", "truncated-store-evaluate"])
+def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
+                                                command, artifact, corrupt):
+    out = tmp_path / "out"
+    shutil.copytree(small_ws["out"], out)
+    corrupt(out / artifact)
+    capsys.readouterr()
+    assert main(command + ["--config", str(small_ws["cfg"]),
+                           "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_predict_ws_source(big_ws):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from etoforge import fao56
@@ -342,6 +343,56 @@ def test_et0_input_validation():
         fao56.Et0Inputs(temp_max=20.0, temp_min=15.0, wind_2m=1.0, solar_rad=10.0,
                         latitude=0.5, elevation=0.0, day_of_year=100,
                         humidity_mode="extremes", rh_avg=50.0)
+
+
+def _random_days(n, mode, seed=5):
+    rng = np.random.default_rng(seed)
+    temp_min = rng.uniform(-15.0, 30.0, n)
+    rh_min = rng.uniform(0.0, 90.0, n)
+    return dict(
+        temp_max=temp_min + rng.uniform(0.0, 18.0, n), temp_min=temp_min,
+        wind_2m=rng.uniform(0.0, 8.0, n), solar_rad=rng.uniform(0.0, 32.0, n),
+        latitude=rng.uniform(-1.1, 1.1, n), elevation=rng.uniform(0.0, 3000.0, n),
+        day_of_year=rng.integers(1, 367, n), humidity_mode=mode,
+        rh_max=rh_min + rng.uniform(0.0, 10.0, n), rh_min=rh_min,
+        rh_avg=rng.uniform(0.0, 100.0, n))
+
+
+@pytest.mark.parametrize("mode", fao56.HUMIDITY_MODES)
+def test_et0_on_many_days_equals_each_day_alone(mode):
+    # the batch-composition contract: a day's result, and every
+    # intermediate, does not depend on the batch it is computed in
+    days = _random_days(400, mode)
+    batch = fao56.et0_fao56pm(fao56.Et0Inputs(**days))
+    assert batch.et0.shape == (400,)
+    for i in range(400):
+        alone = fao56.et0_fao56pm(fao56.Et0Inputs(**{
+            k: v if isinstance(v, str) else v[i].item() for k, v in days.items()}))
+        assert alone.et0 == batch.et0[i]
+        assert alone.intermediates == {k: v[i] for k, v in batch.intermediates.items()}
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("temp_min", 40.0),       # above temp_max
+    ("rh_avg", 101.0),
+    ("day_of_year", 0),
+    ("solar_rad", -1.0),
+])
+def test_array_checks_name_the_first_bad_row(field, bad):
+    days = _random_days(10, "average")
+    days[field][[6, 3]] = bad
+    with pytest.raises(RangeError) as err:
+        fao56.Et0Inputs(**days)
+    assert err.value.row == 3 and str(err.value).startswith("row 3: ")
+
+
+def test_scalar_helpers_accept_arrays():
+    t = np.array([-5.0, 0.0, 20.0])
+    assert np.array_equal(fao56.saturation_vapor_pressure(t),
+                          [fao56.saturation_vapor_pressure(v) for v in t.tolist()])
+    with pytest.raises(DomainError) as err:
+        fao56.wind_to_2m(np.array([1.0, 2.0]), np.array([10.0, 0.05]))
+    assert err.value.row == 1
 
 
 # --- crop scaling and unit bridge ----------------------------------------------

@@ -99,6 +99,19 @@ def test_forward_shape_mismatch():
         forward(model, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_predict_batch_is_batch_invariant(activation):
+    # each row's prediction is bit-identical alone, in the full batch and
+    # in any sub-batch: the batch-composition contract
+    rng = np.random.default_rng(31)
+    model = _random_model(rng, (7, 32, 32, 1), activation)
+    rows = rng.normal(size=(500, 7)) * model.scaler.std + model.scaler.mean
+    batch = predict_batch(model, rows)
+    alone = np.array([forward(model, row) for row in rows])
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(predict_batch(model, rows[1::3]), batch[1::3])
+
+
 # --- training ----------------------------------------------------------------------
 
 def test_linear_recovery_against_least_squares():
