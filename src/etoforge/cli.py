@@ -15,16 +15,17 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
-from .errors import EtoforgeError, MissingCells
-from .weather import (WsSchema, fetch_forecasts, load_ws_schema,
-                      parse_ws_csv, records_from_jsonl, records_to_jsonl,
-                      serialize_ws_csv, ws_schema_text)
+from .errors import EmptyInput, EtoforgeError, MissingCells
+from .weather import (WsSchema, fetch_forecasts, index_forecasts,
+                      load_ws_schema, parse_ws_csv, records_from_jsonl,
+                      records_to_jsonl, serialize_ws_csv, ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
@@ -81,6 +82,8 @@ def cmd_ingest_ws(cfg) -> int:
     cfg.require_paths("ws_csv", "ws_schema")
     schema = load_ws_schema(cfg.ws_schema, columns=cfg.ws_columns)
     observations = parse_ws_csv(cfg.ws_csv, schema)
+    if not observations:
+        raise EmptyInput(f"station CSV {cfg.ws_csv} has no data rows")
     _write(cfg.out_dir, OBS_STORE, serialize_ws_csv(observations))
     _write(cfg.out_dir, OBS_SCHEMA, ws_schema_text())
     first, last = observations[0].date, observations[-1].date
@@ -114,13 +117,13 @@ def cmd_ingest_forecast(cfg) -> int:
             cache_dir=cfg.forecast_cache, offline=cfg.offline,
             tz_offset_hours=cfg.tz_offset_hours)
         all_records.extend(records)
-        dates = {r.target_date for r in records}
-        per_date = sorted(len({f.horizon for f in records if f.target_date == d})
-                          for d in dates) or [0]
+        horizons_per_date = Counter(day for cell in index_forecasts(records).values()
+                                    for day in cell)
+        per_date = sorted(horizons_per_date.values()) or [0]
         spread = (str(per_date[0]) if per_date[0] == per_date[-1]
                   else f"{per_date[0]}-{per_date[-1]}")
         print(f"{provider}: {len(records)} forecast records across "
-              f"{len(dates)} target dates, {spread} horizons per date")
+              f"{len(horizons_per_date)} target dates, {spread} horizons per date")
     _write(cfg.out_dir, FORECAST_STORE, records_to_jsonl(all_records))
     _write_manifest(cfg.out_dir, cfg.seed)
     return 0

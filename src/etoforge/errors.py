@@ -118,4 +118,4 @@ class NoModels(EtoforgeError):
 
 
 class EmptyInput(EtoforgeError):
-    """A report was requested for an empty result set."""
+    """An input file or a requested report has no rows."""

@@ -25,7 +25,8 @@ from . import pipelines
 from .errors import (DegenerateActuals, EmptyInput, LengthMismatch,
                      MissingCells, NonFinite, RangeError)
 from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR, ModelBundle
-from .weather.records import MAX_HORIZON, PROVIDERS, align_horizons
+from .weather.records import (MAX_HORIZON, PROVIDERS, align_horizons,
+                              index_forecasts)
 
 MAPE_EPSILON = {TARGET_ET0: 0.05, TARGET_SR: 1.0}
 UNITS_NOTE = {TARGET_ET0: "mm/day", TARGET_SR: "W/m2"}
@@ -85,21 +86,24 @@ def metrics(actual, predicted, *, mape_epsilon: float = 1e-9,
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
         raise NonFinite("metrics inputs contain non-finite values")
 
-    mean_a = math.fsum(a) / n
-    sst = math.fsum((y - mean_a) ** 2 for y in a)
+    mean_a = math.fsum(a.tolist()) / n
+    # float ** 2 (C pow) differs from d * d in the last bit on some inputs;
+    # keeping it keeps every R^2 ever reported bit-identical
+    sst = math.fsum([(y - mean_a) ** 2 for y in a.tolist()])
     if sst == 0.0:
         raise DegenerateActuals("actual series has zero variance; R^2 undefined")
-    diffs = [y - yhat for y, yhat in zip(a, p)]
-    sse = math.fsum(d * d for d in diffs)
-    mae = math.fsum(abs(d) for d in diffs) / n
+    d = a - p
+    sse = math.fsum((d * d).tolist())
+    mae = math.fsum(np.abs(d).tolist()) / n
     mse = sse / n
     rmse = math.sqrt(mse)
     r2 = 1.0 - sse / sst
 
-    included = [(y, d) for y, d in zip(a, diffs) if abs(y) >= mape_epsilon]
-    excluded = n - len(included)
+    keep = np.abs(a) >= mape_epsilon
+    included = int(np.count_nonzero(keep))
+    excluded = n - included
     if included:
-        mape = math.fsum(abs(d) / abs(y) for y, d in included) / len(included) * 100.0
+        mape = math.fsum((np.abs(d[keep]) / np.abs(a[keep])).tolist()) / included * 100.0
     else:
         mape = math.nan
     return MetricReport(r2=r2, rmse=rmse, mse=mse, mae=mae, mape=mape,
@@ -110,14 +114,12 @@ _CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, RangeError)
 
 
 def _aligned_cells(observations, forecasts, providers, horizons):
-    """(provider, horizon, AlignResult) per cell, grouping the forecasts in one pass."""
-    groups = {}
-    for f in forecasts:
-        groups.setdefault((f.provider, f.horizon), []).append(f)
+    """(provider, horizon, AlignResult) per cell, from one index of the forecasts."""
+    index = index_forecasts(forecasts)
     for provider in providers:
         for horizon in horizons:
-            yield provider, horizon, align_horizons(
-                observations, groups.get((provider, horizon), ()), horizon)
+            cell = list(index.get((provider, horizon), {}).values())
+            yield provider, horizon, align_horizons(observations, cell, horizon)
 
 
 @dataclass(frozen=True)

@@ -213,13 +213,8 @@ def build_et0_target(observations, site: SiteMetadata,
 def build_sr_target(observations) -> TargetSeries:
     """Daily-mean solar radiation, straight from the station record."""
     ordered = sorted(observations, key=lambda o: o.date)
-    for obs in ordered:
-        if obs.sr_avg is None:
-            raise MissingField("sr_avg")
-    return TargetSeries(
-        dates=tuple(o.date for o in ordered),
-        values=np.asarray([o.sr_avg for o in ordered], dtype=np.float64),
-        kind=TARGET_SR)
+    return TargetSeries(dates=tuple(o.date for o in ordered),
+                        values=_weather_column(ordered, "sr_avg"), kind=TARGET_SR)
 
 
 def _check_target(model: MlpModel, target: str):

@@ -161,25 +161,37 @@ class AlignResult(NamedTuple):
     total_observed: int
 
 
+def index_forecasts(forecasts) -> dict:
+    """Group forecasts in one pass: {(provider, horizon): {target_date: record}}.
+
+    This decides which record answers a (provider, horizon, target date)
+    key: when a key repeats, the first record in input order wins.
+    """
+    index = {}
+    for fc in forecasts:
+        index.setdefault((fc.provider, fc.horizon), {}).setdefault(fc.target_date, fc)
+    return index
+
+
 def align_horizons(observations, forecasts, horizon) -> AlignResult:
     """Join observations with horizon-`horizon` forecasts on the date.
 
     Only dates present on both sides appear in the result, sorted by
     date; gaps on either side are silently dropped and accounted for in
-    the coverage statistic (matched / total observed). The result does
-    not depend on input ordering. When the forecast list mixes providers,
-    the first record per date after a deterministic (provider, issue
-    date) sort wins; callers wanting a single provider should filter
-    first.
+    the coverage statistic (matched / total observed). A date takes the
+    record of the first provider in sorted name order (callers wanting a
+    single provider should filter first) and, when a (provider, target
+    date) key repeats, the first record in input order: only then does
+    the result depend on input ordering.
     """
     if not 0 <= horizon <= MAX_HORIZON:
         raise RangeError(f"horizon {horizon} outside 0..{MAX_HORIZON}")
+    index = index_forecasts(forecasts)
     by_date = {}
-    for fc in sorted(
-        (f for f in forecasts if f.horizon == horizon),
-        key=lambda f: (f.target_date, f.provider, f.issue_date),
-    ):
-        by_date.setdefault(fc.target_date, fc)
+    for provider, h in sorted(index):
+        if h == horizon:
+            for day, fc in index[(provider, h)].items():
+                by_date.setdefault(day, fc)
     pairs = [
         AlignedPair(date=obs.date, observed=obs, forecast=by_date[obs.date])
         for obs in sorted(observations, key=lambda o: o.date)

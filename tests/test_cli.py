@@ -82,6 +82,15 @@ def test_ingest_ws_bad_row_is_data_error(tmp_path, synth, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+def test_ingest_ws_header_only_is_data_error(tmp_path, synth, capsys):
+    site, _, _ = synth
+    _write_inputs(tmp_path, [], [])
+    cfg = _config(tmp_path, tmp_path / "out", site)
+    assert main(["ingest", "ws", "--config", str(cfg)]) == 3
+    assert "no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key(tmp_path, synth, capsys):
     site, observations, _ = synth
     _write_inputs(tmp_path, observations[:5], [])
@@ -106,6 +115,17 @@ def test_ingest_forecast_reports_horizons(big_ws, capsys):
     out = capsys.readouterr().out
     assert "16 horizons per date" in out
     assert "VC:" in out and "OWM:" in out
+
+
+def test_ingest_forecast_reports_horizon_range(tmp_path, synth, capsys):
+    site, observations, forecasts = synth
+    _write_inputs(tmp_path, observations[:40], forecasts["VC"][:640])
+    (tmp_path / "cache" / "vc" / "2020-01-10.json").unlink()   # d0..d15 of Jan 10-25
+    cfg = _config(tmp_path, tmp_path / "out", site, providers="VC",
+                  start_date="2020-01-01", end_date="2020-02-09")
+    assert main(["ingest", "forecast", "--config", str(cfg), "--offline"]) == 0
+    assert ("VC: 624 forecast records across 40 target dates, "
+            "15-16 horizons per date") in capsys.readouterr().out
 
 
 def test_ingest_forecast_empty_cache(tmp_path, synth, capsys):
@@ -203,7 +223,7 @@ def small_ws(tmp_path_factory, synth):
     for argv in (["ingest", "ws"], ["ingest", "forecast", "--offline"],
                  ["train", "--target", "et0"], ["train", "--target", "sr"]):
         assert main(argv + ["--config", str(cfg)]) == 0
-    return {"cfg": cfg, "out": root / "out"}
+    return {"cfg": cfg, "root": root}
 
 
 def _truncate(path):
@@ -212,19 +232,23 @@ def _truncate(path):
 
 
 @pytest.mark.parametrize("command, artifact, corrupt", [
-    (["predict", "--estimator", "et0_hyb", "--source", "vc"], "model_sr.json", _truncate),
-    (["predict", "--estimator", "sr_ann", "--source", "ws"], "model_sr.json",
+    (["predict", "--estimator", "et0_hyb", "--source", "vc"], "out/model_sr.json",
+     _truncate),
+    (["predict", "--estimator", "sr_ann", "--source", "ws"], "out/model_sr.json",
      lambda path: path.write_bytes(b"")),
-    (["evaluate"], "forecasts.jsonl", _truncate),
-], ids=["truncated-model-predict", "empty-model-predict", "truncated-store-evaluate"])
+    (["evaluate"], "out/forecasts.jsonl", _truncate),
+    (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _truncate),
+], ids=["truncated-model-predict", "empty-model-predict", "truncated-store-evaluate",
+        "truncated-payload-ingest"])
 def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
                                                 command, artifact, corrupt):
-    out = tmp_path / "out"
-    shutil.copytree(small_ws["out"], out)
-    corrupt(out / artifact)
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    corrupt(root / artifact)
     capsys.readouterr()
     assert main(command + ["--config", str(small_ws["cfg"]),
-                           "--out-dir", str(out)]) == 3
+                           "--out-dir", str(root / "out"),
+                           "--set", f"forecast_cache={root / 'cache'}"]) == 3
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err

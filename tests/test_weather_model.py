@@ -396,6 +396,13 @@ def test_malformed_entry_skipped_not_fatal(tmp_path, caplog):
     assert "skipping" in caplog.text
 
 
+@pytest.mark.parametrize("body", [VC_BODY_ONE_DAY[:40], "", json.dumps({"queryCost": 1})],
+                         ids=["truncated", "empty", "no-entry-list"])
+def test_unreadable_payload_names_provider_and_issue_date(body):
+    with pytest.raises(ProviderSchemaError, match="VC issued 2022-06-01"):
+        normalize_payload(body, D(2022, 6, 1), load_provider_mapping("VC"))
+
+
 def test_owm_epoch_dates_respect_tz_offset():
     stamp = dt.datetime(2022, 6, 1, 23, 30, tzinfo=dt.timezone.utc).timestamp()
     body = json.dumps({"list": [{
@@ -445,18 +452,3 @@ def test_cache_write_is_atomic_no_temp_left(tmp_path):
     assert leftovers == []
     assert cache.has("VC", D(2022, 6, 1))
 
-
-def test_concurrent_fetch_matches_sequential(tmp_path):
-    day = D(2022, 6, 1)
-
-    def serve(url, params):
-        return 200, {}, VC_BODY_ONE_DAY
-
-    sequential = fetch_forecasts("VC", synthetic_site(), (day, day),
-                                 credentials="key", cache_dir=tmp_path / "a",
-                                 offline=False, http_get=serve, concurrency=1)
-    threaded = fetch_forecasts("VC", synthetic_site(), (day, day),
-                               credentials="key", cache_dir=tmp_path / "b",
-                               offline=False, http_get=serve, concurrency=4)
-    assert threaded == sequential
-    assert ForecastCache(tmp_path / "b").has("VC", day - dt.timedelta(days=15))
