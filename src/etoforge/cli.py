@@ -24,8 +24,9 @@ from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import EmptyInput, EtoforgeError, MissingCells
 from .weather import (WsSchema, fetch_forecasts, index_forecasts,
-                      load_ws_schema, parse_ws_csv, records_from_jsonl,
-                      records_to_jsonl, serialize_ws_csv, ws_schema_text)
+                      load_ws_schema, parse_ws_csv, read_text,
+                      records_from_jsonl, records_to_jsonl, serialize_ws_csv,
+                      ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
@@ -65,7 +66,7 @@ def _load_forecasts(cfg):
     store = cfg.out_dir / FORECAST_STORE
     if not store.is_file():
         raise ConfigError(f"no ingested forecasts at {store}; run `ingest forecast` first")
-    return records_from_jsonl(store.read_text(encoding="utf-8"))
+    return records_from_jsonl(read_text(store))
 
 
 def _load_model(cfg, target: str):
@@ -183,8 +184,8 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
                               + (f" at horizon d{horizon}" if horizon is not None else ""))
         keys = [(rec.target_date, provider, rec.horizon) for rec in records]
         wind_height = cfg.forecast_wind_height
-    values, clamped = pipelines.estimate(estimator, bundle, records, cfg.site(),
-                                         wind_height)
+    values, clamped = pipelines.estimate(bundle, records, cfg.site(),
+                                         wind_height)[estimator]
     rows = [pipelines.PredictionRow(day, tag, h, estimator, pipelines.Prediction(v, c))
             for (day, tag, h), v, c in zip(keys, values.tolist(), clamped.tolist())]
     suffix = f"_d{horizon}" if horizon is not None else ""

@@ -26,7 +26,7 @@ def parse_kv_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -160,24 +160,17 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
     merged = {}
     if config_path is not None:
         merged.update(parse_kv_file(config_path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged.update(overrides or {})
 
     cfg = RunConfig()
     for key, raw in merged.items():
         if key.startswith("ws_column_"):
-            cfg.ws_columns[key[len("ws_column_"):]] = str(raw)
+            cfg.ws_columns[key[len("ws_column_"):]] = raw
             continue
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            value = raw if not isinstance(raw, str) else _PARSERS[key](raw)
-            if not isinstance(raw, str) and key in ("ws_csv", "ws_schema",
-                                                    "forecast_cache", "out_dir"):
-                value = Path(raw)
-        except ConfigError:
-            raise
+            value = _PARSERS[key](raw)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
         setattr(cfg, key, value)

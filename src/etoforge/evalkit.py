@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pipelines
 from .errors import (DegenerateActuals, EmptyInput, LengthMismatch,
-                     MissingCells, NonFinite, RangeError)
+                     MissingCells, NoModels, NonFinite, RangeError)
 from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR, ModelBundle
 from .weather.records import (MAX_HORIZON, PROVIDERS, align_horizons,
                               index_forecasts)
@@ -130,9 +130,7 @@ class FidelityReport:
     omissions: tuple = ()  # ((feature, provider, horizon), reason)
 
 
-def compare_forecast_fidelity(observations, forecasts,
-                              features=FIDELITY_FEATURES,
-                              providers=None,
+def compare_forecast_fidelity(observations, forecasts, providers=None,
                               horizons=range(MAX_HORIZON + 1)) -> FidelityReport:
     """Score each forecast feature per provider per horizon.
 
@@ -146,7 +144,7 @@ def compare_forecast_fidelity(observations, forecasts,
     omissions = []
     for provider, horizon, aligned in _aligned_cells(observations, forecasts,
                                                       providers, horizons):
-        for feature in features:
+        for feature in FIDELITY_FEATURES:
             attr = _FEATURE_ATTR[feature]
             key = (feature, provider, horizon)
             pairs = [p for p in aligned.pairs if getattr(p.forecast, attr) is not None]
@@ -178,21 +176,21 @@ class HorizonSweep:
 
 def horizon_sweep(models: ModelBundle, observations, forecasts, site,
                   horizons=range(MAX_HORIZON + 1), providers=PROVIDERS,
-                  estimators=ESTIMATORS, humidity_mode: str = "extremes",
+                  humidity_mode: str = "extremes",
                   forecast_wind_height: float | None = None) -> HorizonSweep:
     """Score every estimator over every (horizon, provider) cell.
 
-    Inference only: models are read, never retrained. The station
-    targets are computed once and indexed by date; each cell is scored
-    once, through pipelines.estimate, on its matched dates whose forecast
-    carries humidity and wind. Cells with fewer than two matched dates,
-    or that fail metric preconditions, are left out and listed in
-    `omissions` with the reason; the sweep itself never aborts on a
-    cell. The per-day absolute errors of every scored cell are kept in
-    `errors` (see :func:`error_distribution`).
+    Inference only: models are read, never retrained, and both must be
+    given (NoModels otherwise). The station targets are computed once and
+    indexed by date; each cell is scored by one pipelines.estimate call,
+    on its matched dates whose forecast carries humidity and wind. Cells
+    with fewer than two matched dates, or that fail metric preconditions,
+    are left out and listed in `omissions` with the reason; the sweep
+    itself never aborts on a cell. The per-day absolute errors of every
+    scored cell are kept in `errors` (see :func:`error_distribution`).
     """
-    for estimator in estimators:
-        models.require(estimator)
+    if models.et0_model is None or models.sr_model is None:
+        raise NoModels("the sweep needs trained ET0 and SR models")
     ordered = sorted(observations, key=lambda o: o.date)
     row_of = {o.date: i for i, o in enumerate(ordered)}
     targets = {TARGET_ET0: pipelines.build_et0_target(ordered, site, humidity_mode).values,
@@ -204,13 +202,13 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
                   if p.forecast.rh_avg is not None and p.forecast.wind_avg is not None]
         dates = [p.date for p in usable]
         rows = np.array([row_of[d] for d in dates], dtype=np.intp)
-        for estimator in estimators:
+        estimates = pipelines.estimate(models, [p.forecast for p in usable], site,
+                                       forecast_wind_height)
+        for estimator in ESTIMATORS:
             key = (horizon, provider, estimator)
             kind = TARGET_SR if estimator == "SR_ANN" else TARGET_ET0
+            predicted, _ = estimates[estimator]
             try:
-                predicted, _ = pipelines.estimate(estimator, models,
-                                                  [p.forecast for p in usable], site,
-                                                  forecast_wind_height)
                 actual = targets[kind][rows]
                 errors[key] = list(zip(dates, np.abs(actual - predicted).tolist()))
                 if aligned.matched < 2:
@@ -261,7 +259,7 @@ def usable_horizon(sweep: HorizonSweep, estimator: str, provider: str,
 
 def error_distribution(models: ModelBundle, observations, forecasts, site,
                        horizons=range(MAX_HORIZON + 1), providers=PROVIDERS,
-                       estimators=ESTIMATORS, humidity_mode: str = "extremes",
+                       humidity_mode: str = "extremes",
                        forecast_wind_height: float | None = None) -> dict:
     """Raw per-day absolute errors for external distribution plotting.
 
@@ -271,7 +269,7 @@ def error_distribution(models: ModelBundle, observations, forecasts, site,
     scored appears, also one whose metrics failed.
     """
     return horizon_sweep(models, observations, forecasts, site, horizons, providers,
-                         estimators, humidity_mode, forecast_wind_height).errors
+                         humidity_mode, forecast_wind_height).errors
 
 
 # --- report emission --------------------------------------------------------
@@ -333,62 +331,37 @@ def _sweep_json(sweep: HorizonSweep) -> str:
 
 
 def sweep_from_json(text: str) -> HorizonSweep:
-    """Parse a sweep document emitted by emit_report(..., 'json')."""
-    doc = json.loads(text)
-    if doc.get("type") != "horizon_sweep":
-        raise RangeError(f"not a horizon_sweep document: {doc.get('type')!r}")
-    cells, coverage = {}, {}
-    for c in doc["cells"]:
-        key = (c["horizon"], c["provider"], c["estimator"])
-        mape = math.nan if c["mape"] is None else c["mape"]
-        cells[key] = MetricReport(r2=c["r2"], rmse=c["rmse"], mse=c["mse"],
-                                  mae=c["mae"], mape=mape, n=c["n"],
-                                  mape_excluded=c["mape_excluded"],
-                                  units=c["units"])
-        coverage[key] = c["coverage"]
-    omissions = tuple(
-        ((o["horizon"], o["provider"], o["estimator"]), o["reason"])
-        for o in doc.get("omissions", []))
+    """Parse a sweep document emitted by emit_report(..., 'json').
+
+    Text that is not such a document raises RangeError.
+    """
+    try:
+        doc = json.loads(text)
+        if doc.get("type") != "horizon_sweep":
+            raise RangeError(f"not a horizon_sweep document: {doc.get('type')!r}")
+        cells, coverage = {}, {}
+        for c in doc["cells"]:
+            key = (c["horizon"], c["provider"], c["estimator"])
+            mape = math.nan if c["mape"] is None else c["mape"]
+            cells[key] = MetricReport(r2=c["r2"], rmse=c["rmse"], mse=c["mse"],
+                                      mae=c["mae"], mape=mape, n=c["n"],
+                                      mape_excluded=c["mape_excluded"],
+                                      units=c["units"])
+            coverage[key] = c["coverage"]
+        omissions = tuple(
+            ((o["horizon"], o["provider"], o["estimator"]), o["reason"])
+            for o in doc.get("omissions", []))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise RangeError(f"not a horizon_sweep document: {exc!r}") from exc
     return HorizonSweep(cells=cells, coverage=coverage, omissions=omissions,
                         metadata=doc.get("metadata", {}))
 
 
-def _fidelity_json(report: FidelityReport) -> str:
-    doc = {
-        "type": "forecast_fidelity",
-        "omissions": [
-            {"feature": k[0], "provider": k[1], "horizon": k[2], "reason": r}
-            for k, r in report.omissions],
-        "cells": [
-            {"feature": k[0], "provider": k[1], "horizon": k[2], "r2": v}
-            for k, v in sorted(
-                report.cells.items(),
-                key=lambda kv: (FIDELITY_FEATURES.index(kv[0][0])
-                                if kv[0][0] in FIDELITY_FEATURES else 99,
-                                kv[0][1], kv[0][2]))
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _distribution_json(dist: dict) -> str:
-    doc = {
-        "type": "error_distribution",
-        "cells": [
-            {
-                "horizon": k[0], "provider": k[1], "estimator": k[2],
-                "errors": [{"date": d.isoformat(), "abs_error": e}
-                           for d, e in dist[k]],
-            }
-            for k in sorted(dist)
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def emit_report(report, fmt: str = "csv") -> str:
-    """Render a sweep, fidelity report, or error distribution as csv/json.
+    """Render a sweep, fidelity report, or error distribution as csv.
 
+    A sweep can also be rendered as json (read back by
+    :func:`sweep_from_json`); json for any other report raises RangeError.
     Output is byte-stable for identical input: rows are emitted in sorted
     key order and floats with full round-trip precision.
     """
@@ -401,9 +374,13 @@ def emit_report(report, fmt: str = "csv") -> str:
     if isinstance(report, FidelityReport):
         if not report.cells:
             raise EmptyInput("fidelity report has no cells")
-        return _fidelity_csv(report) if fmt == "csv" else _fidelity_json(report)
-    if isinstance(report, dict):
+        render = _fidelity_csv
+    elif isinstance(report, dict):
         if not report:
             raise EmptyInput("error distribution is empty")
-        return _distribution_csv(report) if fmt == "csv" else _distribution_json(report)
-    raise RangeError(f"cannot emit a report for {type(report).__name__}")
+        render = _distribution_csv
+    else:
+        raise RangeError(f"cannot emit a report for {type(report).__name__}")
+    if fmt == "json":
+        raise RangeError(f"json renders sweeps only, not a {type(report).__name__}")
+    return render(report)

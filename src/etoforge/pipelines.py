@@ -22,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fao56
-from .errors import (DomainError, FeatureMismatch, MissingField, NoModels,
-                     RangeError)
+from .errors import DomainError, FeatureMismatch, MissingField, RangeError
 from .regressor import MlpModel, forward, predict_batch
 from .weather.records import DailyObservation, ForecastRecord, SiteMetadata
 
@@ -90,16 +89,6 @@ class ModelBundle:
 
     et0_model: object = None
     sr_model: object = None
-
-    def require(self, estimator: str):
-        if estimator == "ET0_ANN":
-            if self.et0_model is None:
-                raise NoModels("ET0_ANN needs a trained ET0 model")
-        elif estimator in ("SR_ANN", "ET0_HYB"):
-            if self.sr_model is None:
-                raise NoModels(f"{estimator} needs a trained SR model")
-        else:
-            raise RangeError(f"unknown estimator {estimator!r}")
 
 
 def _record_day(record) -> dt.date:
@@ -223,28 +212,30 @@ def _check_target(model: MlpModel, target: str):
             f"model targets {model.target_name!r}, expected {target!r}")
 
 
-def estimate(estimator: str, bundle: ModelBundle, records, site: SiteMetadata,
-             wind_height: float | None = None):
-    """Score `records` with one estimator: (values, clamped) arrays in record order.
+def estimate(bundle: ModelBundle, records, site: SiteMetadata,
+             wind_height: float | None = None) -> dict:
+    """Score `records` with every estimator `bundle` serves.
 
-    The one estimator dispatch. ET0_HYB feeds the clamped SR estimate into
-    the physics, flagged if either clamp fired. Each value is the one its
+    Returns {estimator: (values, clamped)}, arrays in record order:
+    ET0_ANN from the ET0 model; SR_ANN and ET0_HYB from the SR model.
+    Each model runs once. ET0_HYB feeds the clamped SR estimate into the
+    physics, flagged if either clamp fired. Each value is the one its
     record would get if scored alone.
     """
-    bundle.require(estimator)
-    if estimator == "ET0_ANN":
-        model, target = bundle.et0_model, TARGET_ET0
-    else:
-        model, target = bundle.sr_model, TARGET_SR
-    _check_target(model, target)
     records = list(records)
-    matrix, _ = feature_matrix(records, site, model.feature_names)
-    raw = predict_batch(model, matrix)
-    values, clamped = np.maximum(raw, 0.0), raw < 0.0
-    if estimator == "ET0_HYB":
-        physics = _physics_et0(records, values, site, "average", wind_height)
-        values, clamped = physics.et0, clamped | physics.clamped
-    return values, clamped
+    out = {}
+    for estimator, model, target in (("ET0_ANN", bundle.et0_model, TARGET_ET0),
+                                     ("SR_ANN", bundle.sr_model, TARGET_SR)):
+        if model is not None:
+            _check_target(model, target)
+            matrix, _ = feature_matrix(records, site, model.feature_names)
+            raw = predict_batch(model, matrix)
+            out[estimator] = np.maximum(raw, 0.0), raw < 0.0
+    if "SR_ANN" in out:
+        sr, sr_clamped = out["SR_ANN"]
+        physics = _physics_et0(records, sr, site, "average", wind_height)
+        out["ET0_HYB"] = physics.et0, sr_clamped | physics.clamped
+    return out
 
 
 def _predict_row(model: MlpModel, fv: FeatureVector, target: str) -> Prediction:

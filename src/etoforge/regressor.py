@@ -24,6 +24,9 @@ from .errors import (ConstantFeature, CorruptModel, NonFinite, ShapeMismatch,
 
 MODEL_FORMAT_VERSION = 1
 ACTIVATIONS = ("relu", "tanh")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     optimizer: str = "adam"        # "adam" | "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     validation_fraction: float = 0.2
     patience: int = 50
@@ -297,13 +297,13 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
                     p -= cfg.learning_rate * g
             else:
                 step += 1
-                c1 = 1.0 - cfg.adam_beta1 ** step
-                c2 = 1.0 - cfg.adam_beta2 ** step
+                c1 = 1.0 - ADAM_BETA1 ** step
+                c2 = 1.0 - ADAM_BETA2 ** step
                 for j, (p, g) in enumerate(zip(params, grads)):
-                    adam_m[j] = cfg.adam_beta1 * adam_m[j] + (1 - cfg.adam_beta1) * g
-                    adam_v[j] = cfg.adam_beta2 * adam_v[j] + (1 - cfg.adam_beta2) * g * g
+                    adam_m[j] = ADAM_BETA1 * adam_m[j] + (1 - ADAM_BETA1) * g
+                    adam_v[j] = ADAM_BETA2 * adam_v[j] + (1 - ADAM_BETA2) * g * g
                     p -= cfg.learning_rate * (adam_m[j] / c1) / (np.sqrt(adam_v[j] / c2)
-                                                                 + cfg.adam_eps)
+                                                                 + ADAM_EPS)
         v = val_loss()
         if not math.isfinite(v):
             raise NonFinite(f"validation loss diverged at epoch {epoch}")

@@ -114,7 +114,11 @@ class ForecastCache:
         p = self.path(provider, issue_date)
         if not p.is_file():
             raise CacheMiss(f"no cached payload for {provider} issued {issue_date}")
-        return p.read_text(encoding="utf-8")
+        try:
+            return p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProviderSchemaError(
+                f"payload is not UTF-8 ({provider} issued {issue_date}): {exc}") from exc
 
     def write(self, provider: str, issue_date: dt.date, body: str) -> Path:
         """Atomic write: temp file in the same directory, then rename."""
@@ -299,7 +303,6 @@ def _fetch_one(provider, site, issue_date, credentials, cache, http_get):
 def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
                     credentials: str | None = None, *,
                     cache_dir, offline: bool = False, http_get=None,
-                    mapping: ProviderMapping | None = None,
                     tz_offset_hours: float | None = None) -> list:
     """Forecast records covering every target date in `date_range` (inclusive).
 
@@ -316,7 +319,7 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     if start > end:
         raise RangeError(f"date range {start}..{end} is reversed")
     cache = ForecastCache(cache_dir)
-    mapping = mapping or load_provider_mapping(provider)
+    mapping = load_provider_mapping(provider)
     if tz_offset_hours is None:
         tz_offset_hours = site.solar_tz_offset_hours
     if not offline:

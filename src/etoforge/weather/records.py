@@ -11,12 +11,21 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 from ..errors import RangeError
 
 PROVIDERS = ("VC", "OWM")
 MAX_HORIZON = 15
+
+
+def read_text(path) -> str:
+    """A UTF-8 input file's text; RangeError naming the file if it does not decode."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RangeError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -47,13 +56,13 @@ class SiteMetadata:
         return self.longitude / 15.0
 
 
-def _require_range(name, value, low=None, high=None, row=None):
+def _require_range(name, value, low=None, high=None):
     if value is None or not math.isfinite(value):
-        raise RangeError(f"{name}={value} is not a finite number", row=row)
+        raise RangeError(f"{name}={value} is not a finite number")
     if low is not None and value < low:
-        raise RangeError(f"{name}={value} below {low}", row=row)
+        raise RangeError(f"{name}={value} below {low}")
     if high is not None and value > high:
-        raise RangeError(f"{name}={value} above {high}", row=row)
+        raise RangeError(f"{name}={value} above {high}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from ..errors import DuplicateDate, MissingColumn, RangeError, UnitError
 from . import units
-from .records import DailyObservation
+from .records import DailyObservation, read_text
 
 REQUIRED_FIELDS = (
     "temp_max", "temp_min", "temp_avg",
@@ -54,21 +54,20 @@ class WsSchema:
 def load_ws_schema(path, columns=None) -> WsSchema:
     """Read a `column=unit` sidecar file; `#` starts a comment line."""
     declared = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UnitError(f"{path}:{lineno}: expected column=unit, got {line!r}")
-            key, _, value = line.partition("=")
-            declared[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UnitError(f"{path}:{lineno}: expected column=unit, got {line!r}")
+        key, _, value = line.partition("=")
+        declared[key.strip()] = value.strip()
     return WsSchema(units=declared, columns=dict(columns or {}))
 
 
-def ws_schema_text(schema: WsSchema | None = None) -> str:
-    """Render a schema as sidecar text (canonical schema by default)."""
-    schema = schema or WsSchema.canonical()
+def ws_schema_text() -> str:
+    """The canonical schema as sidecar text."""
+    schema = WsSchema.canonical()
     lines = [f"{column}={unit}" for column, unit in sorted(schema.units.items())]
     return "\n".join(lines) + "\n"
 
@@ -79,8 +78,7 @@ def _open_text(stream):
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         return io.StringIO(data)
-    with open(stream, "rb") as fh:
-        return io.StringIO(fh.read().decode("utf-8"))
+    return io.StringIO(read_text(stream))
 
 
 def parse_ws_csv(stream, schema: WsSchema) -> list:

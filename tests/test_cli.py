@@ -99,6 +99,15 @@ def test_unknown_config_key(tmp_path, synth, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_usage_error(tmp_path, synth, capsys):
+    site, observations, _ = synth
+    cfg = _config(tmp_path, tmp_path / "out", site)
+    cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+    assert main(["ingest", "ws", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "Traceback" not in err
+
+
 def test_flags_override_config(tmp_path, synth):
     site, observations, _ = synth
     _write_inputs(tmp_path, observations[:20], [])
@@ -231,6 +240,11 @@ def _truncate(path):
     path.write_bytes(data[:len(data) // 2])
 
 
+def _non_utf8(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2] + b"\xff\xfe" + data[len(data) // 2:])
+
+
 @pytest.mark.parametrize("command, artifact, corrupt", [
     (["predict", "--estimator", "et0_hyb", "--source", "vc"], "out/model_sr.json",
      _truncate),
@@ -238,8 +252,15 @@ def _truncate(path):
      lambda path: path.write_bytes(b"")),
     (["evaluate"], "out/forecasts.jsonl", _truncate),
     (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _truncate),
+    (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _non_utf8),
+    (["ingest", "ws"], "ws.csv", _non_utf8),
+    (["ingest", "ws"], "ws.schema", _non_utf8),
+    (["evaluate"], "out/forecasts.jsonl", _non_utf8),
+    (["evaluate"], "out/observations.csv", _non_utf8),
 ], ids=["truncated-model-predict", "empty-model-predict", "truncated-store-evaluate",
-        "truncated-payload-ingest"])
+        "truncated-payload-ingest", "non-utf8-payload-ingest", "non-utf8-ws-csv-ingest",
+        "non-utf8-ws-schema-ingest", "non-utf8-store-evaluate",
+        "non-utf8-observations-evaluate"])
 def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
                                                 command, artifact, corrupt):
     root = tmp_path / "ws"
@@ -248,7 +269,9 @@ def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
     capsys.readouterr()
     assert main(command + ["--config", str(small_ws["cfg"]),
                            "--out-dir", str(root / "out"),
-                           "--set", f"forecast_cache={root / 'cache'}"]) == 3
+                           "--set", f"forecast_cache={root / 'cache'}",
+                           "--set", f"ws_csv={root / 'ws.csv'}",
+                           "--set", f"ws_schema={root / 'ws.schema'}"]) == 3
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err

@@ -9,10 +9,11 @@ import pytest
 from etoforge import pipelines
 from etoforge.errors import (DegenerateActuals, EmptyInput, LengthMismatch,
                              MissingCells, NoModels, NonFinite, RangeError)
-from etoforge.evalkit import (FIDELITY_FEATURES, HorizonSweep, MetricReport,
-                              ModelBundle, compare_forecast_fidelity,
-                              emit_report, error_distribution, horizon_sweep,
-                              metrics, sweep_from_json, usable_horizon)
+from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
+                              MetricReport, ModelBundle,
+                              compare_forecast_fidelity, emit_report,
+                              error_distribution, horizon_sweep, metrics,
+                              sweep_from_json, usable_horizon)
 from etoforge.synthetic import (synthetic_forecasts, synthetic_observations,
                                 synthetic_site)
 
@@ -203,10 +204,12 @@ def test_sweep_cell_equals_manual_decomposition(small_world, full_models):
     assert sweep.coverage[(2, "VC", "ET0_ANN")] == aligned.coverage
 
 
-def test_sweep_requires_models(small_world):
+def test_sweep_requires_models(small_world, full_models):
     site, observations = small_world
-    with pytest.raises(NoModels):
-        horizon_sweep(ModelBundle(), observations, [], site)
+    for models in (ModelBundle(), ModelBundle(et0_model=full_models.et0_model),
+                   ModelBundle(sr_model=full_models.sr_model)):
+        with pytest.raises(NoModels):
+            horizon_sweep(models, observations, [], site)
 
 
 def test_sweep_omits_thin_cells_without_aborting(small_world, full_models):
@@ -362,6 +365,22 @@ def test_emit_rejects_empty_and_unknown():
         emit_report({}, "json")
     with pytest.raises(RangeError):
         emit_report(_fake_sweep([0.9]), "yaml")
+
+
+def test_json_renders_sweeps_only():
+    fidelity = FidelityReport(cells={("TempMax", "VC", 0): 0.9})
+    dist = {(0, "VC", "ET0_ANN"): [(dt.date(2020, 1, 1), 0.1)]}
+    for report in (fidelity, dist):
+        assert emit_report(report, "csv")
+        with pytest.raises(RangeError):
+            emit_report(report, "json")
+
+
+@pytest.mark.parametrize("text", ['{', '{"type": "horizon_sweep"}', '[]'],
+                         ids=["truncated", "no-cells", "not-an-object"])
+def test_sweep_from_json_rejects_non_documents(text):
+    with pytest.raises(RangeError):
+        sweep_from_json(text)
 
 
 def test_emission_is_deterministic(degradation_sweep):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from etoforge import fao56, pipelines, regressor
-from etoforge.errors import FeatureMismatch, MissingField, NoModels
+from etoforge.errors import FeatureMismatch, MissingField
 from etoforge.pipelines import (FEATURE_NAMES, FeatureVector, Prediction,
                                 build_et0_target, build_sr_target,
                                 et0_ann_predict, et0_from_sr,
@@ -189,28 +189,54 @@ def test_predictions_are_finite_over_the_whole_record(synth, full_models):
 
 
 def test_estimate_equals_one_row_predictors(synth, full_models):
-    # estimate scores a batch; each value must be what the one-row
-    # predictors give for that record alone, bit for bit
+    # one estimate call scores a batch with every estimator; each value
+    # must be what the one-row predictors give for that record alone,
+    # bit for bit
     site, observations, forecasts = synth
     records = forecasts["VC"][::97]
+    estimates = pipelines.estimate(full_models, records, site)
+    assert set(estimates) == set(pipelines.ESTIMATORS)
     for estimator, one_row in (
             ("ET0_ANN", lambda r, fv: et0_ann_predict(full_models.et0_model, fv)),
             ("SR_ANN", lambda r, fv: sr_ann_predict(full_models.sr_model, fv)),
             ("ET0_HYB",
              lambda r, fv: et0_hybrid_predict(full_models.sr_model, fv, r, site))):
-        values, clamped = pipelines.estimate(estimator, full_models, records, site)
+        values, clamped = estimates[estimator]
         expected = [one_row(r, make_features(r, site)) for r in records]
         assert values.tolist() == [p.value for p in expected], estimator
         assert clamped.tolist() == [p.clamped for p in expected], estimator
 
 
+def test_estimate_returns_what_the_bundle_serves(synth, full_models):
+    site, observations, _ = synth
+    et0_only = pipelines.ModelBundle(et0_model=full_models.et0_model)
+    sr_only = pipelines.ModelBundle(sr_model=full_models.sr_model)
+    assert set(pipelines.estimate(et0_only, observations[:3], site)) == {"ET0_ANN"}
+    assert set(pipelines.estimate(sr_only, observations[:3], site)) == {"SR_ANN", "ET0_HYB"}
+    assert pipelines.estimate(pipelines.ModelBundle(), observations[:3], site) == {}
+
+
+def test_estimate_runs_each_model_once(synth, full_models, monkeypatch):
+    site, _, forecasts = synth
+    calls = []
+
+    def counting(model, rows):
+        calls.append(model.target_name)
+        return regressor.predict_batch(model, rows)
+
+    monkeypatch.setattr(pipelines, "predict_batch", counting)
+    pipelines.estimate(full_models, forecasts["VC"][:20], site)
+    assert sorted(calls) == ["ET0", "SR"]
+
+
 def test_estimate_checks_models(synth, full_models):
     site, observations, _ = synth
-    with pytest.raises(NoModels):
-        pipelines.estimate("ET0_HYB", pipelines.ModelBundle(), observations[:3], site)
     swapped = pipelines.ModelBundle(et0_model=full_models.sr_model)
     with pytest.raises(FeatureMismatch):
-        pipelines.estimate("ET0_ANN", swapped, observations[:3], site)
+        pipelines.estimate(swapped, observations[:3], site)
+    swapped = pipelines.ModelBundle(sr_model=full_models.et0_model)
+    with pytest.raises(FeatureMismatch):
+        pipelines.estimate(swapped, observations[:3], site)
 
 
 # --- hybrid route ----------------------------------------------------------------

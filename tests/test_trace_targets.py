@@ -1,0 +1,16 @@
+"""The benchmark tracer wraps program functions by name; each name must exist."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for module, attr, _ in tracing.TARGETS.values()
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert tracing.TARGETS and not missing, missing
