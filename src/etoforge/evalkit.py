@@ -25,8 +25,7 @@ from . import pipelines
 from .errors import (DegenerateActuals, EmptyInput, LengthMismatch,
                      MissingCells, NoModels, NonFinite, RangeError)
 from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR, ModelBundle
-from .weather.records import (MAX_HORIZON, PROVIDERS, align_horizons,
-                              index_forecasts)
+from .weather.records import MAX_HORIZON, PROVIDERS, index_forecasts, pair_on_date
 
 MAPE_EPSILON = {TARGET_ET0: 0.05, TARGET_SR: 1.0}
 UNITS_NOTE = {TARGET_ET0: "mm/day", TARGET_SR: "W/m2"}
@@ -114,12 +113,13 @@ _CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, RangeError)
 
 
 def _aligned_cells(observations, forecasts, providers, horizons):
-    """(provider, horizon, AlignResult) per cell, from one index of the forecasts."""
+    """(provider, horizon, [(observation, forecast)], coverage) per cell, one join each."""
     index = index_forecasts(forecasts)
+    ordered = sorted(observations, key=lambda o: o.date)
     for provider in providers:
         for horizon in horizons:
-            cell = list(index.get((provider, horizon), {}).values())
-            yield provider, horizon, align_horizons(observations, cell, horizon)
+            yield (provider, horizon,
+                   *pair_on_date(ordered, index, horizon, (provider,)))
 
 
 @dataclass(frozen=True)
@@ -142,17 +142,17 @@ def compare_forecast_fidelity(observations, forecasts, providers=None,
         providers = tuple(sorted({f.provider for f in forecasts})) or PROVIDERS
     cells = {}
     omissions = []
-    for provider, horizon, aligned in _aligned_cells(observations, forecasts,
-                                                      providers, horizons):
+    for provider, horizon, pairs, _ in _aligned_cells(observations, forecasts,
+                                                       providers, horizons):
         for feature in FIDELITY_FEATURES:
             attr = _FEATURE_ATTR[feature]
             key = (feature, provider, horizon)
-            pairs = [p for p in aligned.pairs if getattr(p.forecast, attr) is not None]
+            usable = [pair for pair in pairs if getattr(pair[1], attr) is not None]
             try:
-                if len(pairs) < 2:
-                    raise LengthMismatch(f"only {len(pairs)} usable pairs")
-                cells[key] = metrics([getattr(p.observed, attr) for p in pairs],
-                                     [getattr(p.forecast, attr) for p in pairs]).r2
+                if len(usable) < 2:
+                    raise LengthMismatch(f"only {len(usable)} usable pairs")
+                cells[key] = metrics([getattr(obs, attr) for obs, _ in usable],
+                                     [getattr(fc, attr) for _, fc in usable]).r2
             except (LengthMismatch, DegenerateActuals, NonFinite) as exc:
                 omissions.append((key, str(exc)))
     return FidelityReport(cells=cells, omissions=tuple(omissions))
@@ -196,13 +196,13 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
     targets = {TARGET_ET0: pipelines.build_et0_target(ordered, site, humidity_mode).values,
                TARGET_SR: pipelines.build_sr_target(ordered).values}
     cells, coverage, omissions, errors = {}, {}, [], {}
-    for provider, horizon, aligned in _aligned_cells(observations, forecasts,
-                                                      providers, horizons):
-        usable = [p for p in aligned.pairs
-                  if p.forecast.rh_avg is not None and p.forecast.wind_avg is not None]
-        dates = [p.date for p in usable]
+    for provider, horizon, pairs, cell_coverage in _aligned_cells(
+            observations, forecasts, providers, horizons):
+        usable = [pair for pair in pairs
+                  if pair[1].rh_avg is not None and pair[1].wind_avg is not None]
+        dates = [obs.date for obs, _ in usable]
         rows = np.array([row_of[d] for d in dates], dtype=np.intp)
-        estimates = pipelines.estimate(models, [p.forecast for p in usable], site,
+        estimates = pipelines.estimate(models, [fc for _, fc in usable], site,
                                        forecast_wind_height)
         for estimator in ESTIMATORS:
             key = (horizon, provider, estimator)
@@ -211,11 +211,11 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
             try:
                 actual = targets[kind][rows]
                 errors[key] = list(zip(dates, np.abs(actual - predicted).tolist()))
-                if aligned.matched < 2:
-                    raise LengthMismatch(f"only {aligned.matched} matched dates")
+                if len(pairs) < 2:
+                    raise LengthMismatch(f"only {len(pairs)} matched dates")
                 cells[key] = metrics(actual, predicted, mape_epsilon=MAPE_EPSILON[kind],
                                      units=UNITS_NOTE[kind])
-                coverage[key] = aligned.coverage
+                coverage[key] = cell_coverage
             except _CELL_ERRORS as exc:
                 omissions.append((key, str(exc)))
     wind_note = (pipelines.DEFAULT_FORECAST_WIND_HEIGHT
@@ -302,10 +302,12 @@ def _fidelity_csv(report: FidelityReport) -> str:
 
 def _distribution_csv(dist: dict) -> str:
     lines = ["horizon,provider,estimator,date,abs_error"]
+    iso = {}
     for key in sorted(dist):
-        h, p, e = key
+        prefix = "{},{},{},".format(*key)
         for day, err in dist[key]:
-            lines.append(f"{h},{p},{e},{day.isoformat()},{_float_cell(err)}")
+            day_text = iso.get(day) or iso.setdefault(day, day.isoformat())
+            lines.append(f"{prefix}{day_text},{float(err)!r}")
     return "\n".join(lines) + "\n"
 
 

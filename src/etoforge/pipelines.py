@@ -15,6 +15,7 @@ in features; only the physics path normalizes it to 2 m.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -99,16 +100,34 @@ def _record_day(record) -> dt.date:
     raise FeatureMismatch(f"unsupported record type {type(record).__name__}")
 
 
-def _day_of_year(dates) -> np.ndarray:
-    return np.array([d.timetuple().tm_yday for d in dates], dtype=np.int64)
+class _Fields:
+    """Records read field by field, each field at most once and only on first use."""
+
+    def __init__(self, records):
+        self.records = list(records)
+        self._columns = {}
+
+    @functools.cached_property
+    def dates(self) -> list:
+        return [_record_day(r) for r in self.records]
+
+    @functools.cached_property
+    def day_of_year(self) -> np.ndarray:
+        return np.array([d.timetuple().tm_yday for d in self.dates], dtype=np.int64)
+
+    def column(self, name) -> np.ndarray:
+        """One raw weather field; MissingField if any record lacks it."""
+        if name not in self._columns:
+            values = [getattr(record, name, None) for record in self.records]
+            if None in values:
+                raise MissingField(name)
+            self._columns[name] = np.array(values, dtype=np.float64)
+        return self._columns[name]
 
 
-def _weather_column(records, name) -> np.ndarray:
-    """One raw weather field over `records`; MissingField if any record lacks it."""
-    values = [getattr(record, name, None) for record in records]
-    if None in values:
-        raise MissingField(name)
-    return np.array(values, dtype=np.float64)
+def _read_once(records) -> _Fields:
+    """`records` as a `_Fields`; `estimate` hands its one table to every step."""
+    return records if isinstance(records, _Fields) else _Fields(records)
 
 
 def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
@@ -124,14 +143,14 @@ def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
     unknown = [n for n in names if n not in FEATURE_NAMES]
     if unknown:
         raise FeatureMismatch(f"unknown feature name(s) {unknown}")
-    records = list(records)
-    dates = [_record_day(r) for r in records]
-    if not records:
+    fields = _read_once(records)
+    dates = fields.dates
+    if not dates:
         return np.zeros((0, len(names))), []
-    columns = {name: _weather_column(records, name)
+    columns = {name: fields.column(name)
                for name in ("temp_max", "temp_min", "rh_avg", "wind_avg")
                if name in names}
-    doy = _day_of_year(dates)
+    doy = fields.day_of_year
     angle = 2.0 * math.pi * doy / DOY_PERIOD
     columns["doy_sin"] = np.sin(angle)
     columns["doy_cos"] = np.cos(angle)
@@ -159,14 +178,14 @@ def _physics_et0(records, sr_wm2, site: SiteMetadata, humidity_mode: str,
     to the site sensor height for observations and to the provider
     assumption for forecasts. A failing day is named by its date.
     """
-    dates = [_record_day(r) for r in records]
+    fields = _read_once(records)
     humidity = ("rh_max", "rh_min") if humidity_mode == "extremes" else ("rh_avg",)
-    columns = {name: _weather_column(records, name)
+    columns = {name: fields.column(name)
                for name in ("temp_max", "temp_min", *humidity, "wind_avg")}
     if wind_height is None:
         wind_height = np.array([DEFAULT_FORECAST_WIND_HEIGHT
                                 if isinstance(r, ForecastRecord)
-                                else site.wind_sensor_height for r in records])
+                                else site.wind_sensor_height for r in fields.records])
     try:
         return fao56.et0_fao56pm(fao56.Et0Inputs(
             temp_max=columns["temp_max"],
@@ -175,13 +194,13 @@ def _physics_et0(records, sr_wm2, site: SiteMetadata, humidity_mode: str,
             solar_rad=fao56.sr_wm2_to_mj(sr_wm2),
             latitude=site.latitude_rad,
             elevation=site.elevation,
-            day_of_year=_day_of_year(dates),
+            day_of_year=fields.day_of_year,
             humidity_mode=humidity_mode,
             **{name: columns[name] for name in humidity}))
     except (DomainError, RangeError) as exc:
         if exc.row is None:
             raise
-        raise type(exc)(f"{dates[exc.row]}: {exc.detail}") from exc
+        raise type(exc)(f"{fields.dates[exc.row]}: {exc.detail}") from exc
 
 
 def build_et0_target(observations, site: SiteMetadata,
@@ -193,17 +212,16 @@ def build_et0_target(observations, site: SiteMetadata,
     rh-extremes form (default, stations report extremes) and the
     mean-humidity form used on forecast-driven paths.
     """
-    ordered = sorted(observations, key=lambda o: o.date)
-    result = _physics_et0(ordered, _weather_column(ordered, "sr_avg"), site, humidity_mode)
-    return TargetSeries(dates=tuple(o.date for o in ordered), values=result.et0,
-                        kind=TARGET_ET0)
+    fields = _Fields(sorted(observations, key=lambda o: o.date))
+    result = _physics_et0(fields, fields.column("sr_avg"), site, humidity_mode)
+    return TargetSeries(dates=tuple(fields.dates), values=result.et0, kind=TARGET_ET0)
 
 
 def build_sr_target(observations) -> TargetSeries:
     """Daily-mean solar radiation, straight from the station record."""
-    ordered = sorted(observations, key=lambda o: o.date)
-    return TargetSeries(dates=tuple(o.date for o in ordered),
-                        values=_weather_column(ordered, "sr_avg"), kind=TARGET_SR)
+    fields = _Fields(sorted(observations, key=lambda o: o.date))
+    return TargetSeries(dates=tuple(fields.dates), values=fields.column("sr_avg"),
+                        kind=TARGET_SR)
 
 
 def _check_target(model: MlpModel, target: str):
@@ -220,20 +238,21 @@ def estimate(bundle: ModelBundle, records, site: SiteMetadata,
     ET0_ANN from the ET0 model; SR_ANN and ET0_HYB from the SR model.
     Each model runs once. ET0_HYB feeds the clamped SR estimate into the
     physics, flagged if either clamp fired. Each value is the one its
-    record would get if scored alone.
+    record would get if scored alone. Each field is read from the records
+    once, and only if a model or the physics needs it.
     """
-    records = list(records)
+    fields = _Fields(records)
     out = {}
     for estimator, model, target in (("ET0_ANN", bundle.et0_model, TARGET_ET0),
                                      ("SR_ANN", bundle.sr_model, TARGET_SR)):
         if model is not None:
             _check_target(model, target)
-            matrix, _ = feature_matrix(records, site, model.feature_names)
+            matrix, _ = feature_matrix(fields, site, model.feature_names)
             raw = predict_batch(model, matrix)
             out[estimator] = np.maximum(raw, 0.0), raw < 0.0
     if "SR_ANN" in out:
         sr, sr_clamped = out["SR_ANN"]
-        physics = _physics_et0(records, sr, site, "average", wind_height)
+        physics = _physics_et0(fields, sr, site, "average", wind_height)
         out["ET0_HYB"] = physics.et0, sr_clamped | physics.clamped
     return out
 

@@ -25,6 +25,7 @@ basis date parameter).
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
 import logging
 import os
@@ -229,27 +230,33 @@ def records_to_jsonl(records) -> str:
 def records_from_jsonl(text: str) -> list:
     """Parse a store written by :func:`records_to_jsonl`.
 
-    A line that is not a stored record (a truncated or hand-edited
-    store) raises RangeError naming the line.
+    A line that is not one valid stored record (a truncated or hand-edited
+    store, text after the object, a record failing its checks) raises
+    RangeError naming the line.
+    Records share one date object per distinct ISO date string.
     """
+    decode = json.JSONDecoder().raw_decode
+    date = functools.cache(dt.date.fromisoformat)
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            doc = json.loads(line)
+            doc, end = decode(line)
+            if end != len(line):
+                raise ValueError(f"text after the record at column {end + 1}")
             record = ForecastRecord(
                 provider=doc["provider"],
-                target_date=dt.date.fromisoformat(doc["target_date"]),
-                issue_date=dt.date.fromisoformat(doc["issue_date"]),
+                target_date=date(doc["target_date"]),
+                issue_date=date(doc["issue_date"]),
                 temp_max=doc["temp_max"],
                 temp_min=doc["temp_min"],
                 rh_avg=doc.get("rh_avg"),
                 wind_avg=doc.get("wind_avg"),
                 precip=doc.get("precip"),
                 extras=doc.get("extras", {}))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RangeError) as exc:
             raise RangeError(f"not a stored forecast record: {exc!r}", row=lineno) from exc
         records.append(record)
     return records

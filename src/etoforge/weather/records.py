@@ -22,10 +22,15 @@ MAX_HORIZON = 15
 
 def read_text(path) -> str:
     """A UTF-8 input file's text; RangeError naming the file if it does not decode."""
+    return decode_utf8(Path(path).read_bytes(), path)
+
+
+def decode_utf8(data: bytes, source) -> str:
+    """`data` as UTF-8 text; RangeError naming `source` if it does not decode."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise RangeError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise RangeError(f"{source} is not UTF-8 text: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,21 @@ def index_forecasts(forecasts) -> dict:
     return index
 
 
+def pair_on_date(ordered, index, horizon, providers):
+    """Join date-sorted observations to the horizon-`horizon` forecasts of `index`.
+
+    Returns ([(observation, forecast)], coverage), one lookup per observation;
+    a date takes the record of the first of `providers` that has one.
+    """
+    if not 0 <= horizon <= MAX_HORIZON:
+        raise RangeError(f"horizon {horizon} outside 0..{MAX_HORIZON}")
+    by_date = {}
+    for provider in reversed(providers):
+        by_date.update(index.get((provider, horizon), {}))
+    pairs = [(obs, fc) for obs in ordered if (fc := by_date.get(obs.date)) is not None]
+    return pairs, len(pairs) / len(ordered) if ordered else 0.0
+
+
 def align_horizons(observations, forecasts, horizon) -> AlignResult:
     """Join observations with horizon-`horizon` forecasts on the date.
 
@@ -193,20 +213,9 @@ def align_horizons(observations, forecasts, horizon) -> AlignResult:
     date) key repeats, the first record in input order: only then does
     the result depend on input ordering.
     """
-    if not 0 <= horizon <= MAX_HORIZON:
-        raise RangeError(f"horizon {horizon} outside 0..{MAX_HORIZON}")
     index = index_forecasts(forecasts)
-    by_date = {}
-    for provider, h in sorted(index):
-        if h == horizon:
-            for day, fc in index[(provider, h)].items():
-                by_date.setdefault(day, fc)
-    pairs = [
-        AlignedPair(date=obs.date, observed=obs, forecast=by_date[obs.date])
-        for obs in sorted(observations, key=lambda o: o.date)
-        if obs.date in by_date
-    ]
-    total = len(observations)
-    coverage = len(pairs) / total if total else 0.0
+    joined, coverage = pair_on_date(sorted(observations, key=lambda o: o.date), index,
+                                    horizon, sorted({provider for provider, _ in index}))
+    pairs = [AlignedPair(date=obs.date, observed=obs, forecast=fc) for obs, fc in joined]
     return AlignResult(pairs=pairs, coverage=coverage,
-                       matched=len(pairs), total_observed=total)
+                       matched=len(pairs), total_observed=len(observations))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from ..errors import DuplicateDate, MissingColumn, RangeError, UnitError
 from . import units
-from .records import DailyObservation, read_text
+from .records import DailyObservation, decode_utf8, read_text
 
 REQUIRED_FIELDS = (
     "temp_max", "temp_min", "temp_avg",
@@ -76,7 +76,7 @@ def _open_text(stream):
     if hasattr(stream, "read"):
         data = stream.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = decode_utf8(data, getattr(stream, "name", "input stream"))
         return io.StringIO(data)
     return io.StringIO(read_text(stream))
 

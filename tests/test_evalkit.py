@@ -10,12 +10,13 @@ from etoforge import pipelines
 from etoforge.errors import (DegenerateActuals, EmptyInput, LengthMismatch,
                              MissingCells, NoModels, NonFinite, RangeError)
 from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
-                              MetricReport, ModelBundle,
+                              MetricReport, ModelBundle, _aligned_cells,
                               compare_forecast_fidelity, emit_report,
                               error_distribution, horizon_sweep, metrics,
                               sweep_from_json, usable_horizon)
 from etoforge.synthetic import (synthetic_forecasts, synthetic_observations,
                                 synthetic_site)
+from etoforge.weather import align_horizons
 
 from .gen_golden import GOLDEN_PATH, build_report
 
@@ -166,6 +167,34 @@ def test_fidelity_records_omissions_instead_of_aborting(small_world):
     assert ("TempMax", "VC", 0) in report.cells
 
 
+# --- the per-cell join -----------------------------------------------------------
+
+def test_aligned_cells_equal_align_horizons(synth):
+    _, observations, forecasts = synth
+    cells = _aligned_cells(observations, forecasts["VC"] + forecasts["OWM"],
+                           ("VC", "OWM"), range(16))
+    seen = 0
+    for provider, horizon, pairs, coverage in cells:
+        reference = align_horizons(observations, forecasts[provider], horizon)
+        assert [obs.date for obs, _ in pairs] == [p.date for p in reference.pairs]
+        assert all(obs is p.observed and fc is p.forecast
+                   for (obs, fc), p in zip(pairs, reference.pairs, strict=True))
+        assert coverage == reference.coverage
+        seen += 1
+    assert seen == 32
+
+
+def test_horizon_outside_range_is_rejected(small_world, full_models):
+    site, observations = small_world
+    forecasts = synthetic_forecasts(observations, "VC", seed=2)
+    with pytest.raises(RangeError):
+        horizon_sweep(full_models, observations, forecasts, site, horizons=[16],
+                      providers=("VC",))
+    with pytest.raises(RangeError):
+        compare_forecast_fidelity(observations, forecasts, providers=("VC",),
+                                  horizons=[16])
+
+
 # --- horizon sweep ----------------------------------------------------------------
 
 def test_sweep_perfect_provider_constant_across_horizons(small_world, full_models):
@@ -188,7 +217,6 @@ def test_sweep_cell_equals_manual_decomposition(small_world, full_models):
     sweep = horizon_sweep(full_models, observations, forecasts, site,
                           horizons=(2,), providers=("VC",),
                           humidity_mode="average")
-    from etoforge.weather import align_horizons
     aligned = align_horizons(observations, forecasts, 2)
     actual = pipelines.build_et0_target(
         [p.observed for p in aligned.pairs], site, "average").values
@@ -321,6 +349,18 @@ def test_distribution_median_grows_with_horizon(synth, full_models, degradation_
 
 
 # --- emission ---------------------------------------------------------------------------
+
+def test_distribution_csv_is_the_plain_rendering(small_world, full_models):
+    site, observations = small_world
+    forecasts = synthetic_forecasts(observations, "VC", seed=2) \
+        + synthetic_forecasts(observations, "OWM", seed=3)
+    dist = horizon_sweep(full_models, observations, forecasts, site,
+                         humidity_mode="average").errors
+    plain = ["horizon,provider,estimator,date,abs_error"] + [
+        f"{h},{p},{e},{day.isoformat()},{float(err)!r}"
+        for (h, p, e) in sorted(dist) for day, err in dist[(h, p, e)]]
+    assert emit_report(dist, "csv") == "\n".join(plain) + "\n"
+
 
 def test_sweep_csv_shape(degradation_sweep):
     lines = emit_report(degradation_sweep, "csv").strip().splitlines()

@@ -229,6 +229,24 @@ def test_estimate_runs_each_model_once(synth, full_models, monkeypatch):
     assert sorted(calls) == ["ET0", "SR"]
 
 
+def test_estimate_reads_each_field_once(synth, full_models):
+    site, _, forecasts = synth
+    reads = []
+
+    class CountingRecord(ForecastRecord):
+        def __getattribute__(self, name):
+            if name == "temp_max":
+                reads.append(1)
+            return super().__getattribute__(name)
+
+    records = [CountingRecord(**{f: getattr(r, f) for f in r.__dataclass_fields__})
+               for r in forecasts["VC"][:40]]
+    reads.clear()
+    estimates = pipelines.estimate(full_models, records, site)
+    assert set(estimates) == set(pipelines.ESTIMATORS)
+    assert len(reads) == len(records)
+
+
 def test_estimate_checks_models(synth, full_models):
     site, observations, _ = synth
     swapped = pipelines.ModelBundle(et0_model=full_models.sr_model)

@@ -151,6 +151,11 @@ def test_parse_rh_out_of_range_reports_row():
     assert "row 1" in str(err.value)
 
 
+def test_non_utf8_stream_is_a_range_error():
+    with pytest.raises(RangeError, match="not UTF-8"):
+        parse_ws_csv(io.BytesIO(b"date,temp_max\n\xff\xfe"), WsSchema.canonical())
+
+
 def test_parse_two_year_synthetic_file(synth):
     _, observations, _ = synth
     text = serialize_ws_csv(observations)
@@ -281,6 +286,14 @@ def test_align_shares_no_records_between_horizons():
     at2 = {id(p.forecast) for p in align_horizons(observations, forecasts, 2).pairs}
     at5 = {id(p.forecast) for p in align_horizons(observations, forecasts, 5).pairs}
     assert at2 and at5 and not (at2 & at5)
+
+
+def test_align_takes_first_provider_in_name_order():
+    days = [D(2022, 6, 1), D(2022, 6, 2)]
+    vc = [_fc(d, horizon=2, provider="VC") for d in days]
+    owm = [_fc(days[1], horizon=2, provider="OWM")]
+    result = align_horizons([_obs(d) for d in days], vc + owm, 2)
+    assert [p.forecast for p in result.pairs] == [vc[0], owm[0]]
 
 
 def test_align_rejects_bad_horizon():
@@ -443,6 +456,43 @@ def test_jsonl_store_round_trip(synth):
     again = records_from_jsonl(records_to_jsonl(sample))
     assert sorted(again, key=lambda r: (r.provider, r.target_date, r.issue_date)) \
         == sorted(sample, key=lambda r: (r.provider, r.target_date, r.issue_date))
+
+
+def _store_lines():
+    """Three stored records as store lines, one of them after a blank line."""
+    days = [D(2022, 6, d) for d in (1, 2, 3)]
+    lines = records_to_jsonl([_fc(d, horizon=1) for d in days]).splitlines()
+    return [lines[0], "", lines[1], lines[2]]
+
+
+def _unordered_temperatures(line):
+    doc = json.loads(line)
+    doc["temp_min"] = doc["temp_max"] + 1.0
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda line: line + " x",
+    lambda line: line + " " + line,
+    lambda line: "[]",
+    lambda line: "1",
+    _unordered_temperatures,
+], ids=["trailing-text", "two-objects", "array", "number", "temp-min-above-max"])
+def test_store_bad_line_names_its_physical_line(corrupt):
+    lines = _store_lines()
+    assert len(records_from_jsonl("\n".join(lines))) == 3
+    lines[3] = corrupt(lines[3])
+    with pytest.raises(RangeError) as err:
+        records_from_jsonl("\n".join(lines))
+    assert err.value.row == 4
+
+
+def test_store_shares_one_date_object_per_day():
+    lines = _store_lines()
+    records = records_from_jsonl("\n".join(lines + lines))
+    assert len(records) == 6
+    assert records[0].target_date is records[3].target_date
+    assert records[1].issue_date is records[0].target_date
 
 
 def test_cache_write_is_atomic_no_temp_left(tmp_path):
