@@ -23,7 +23,7 @@ import numpy as np
 from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import EmptyInput, EtoforgeError, MissingCells
-from .weather import (WsSchema, fetch_forecasts, index_forecasts,
+from .weather import (PROVIDERS, WsSchema, fetch_forecasts, index_forecasts,
                       load_ws_schema, parse_ws_csv, read_text,
                       records_from_jsonl, records_to_jsonl, serialize_ws_csv,
                       ws_schema_text)
@@ -176,13 +176,15 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
         wind_height = None
     else:
         provider = source.upper()
-        records = [r for r in _load_forecasts(cfg)
-                   if r.provider == provider
-                   and (horizon is None or r.horizon == horizon)]
-        if not records:
+        table = _load_forecasts(cfg)
+        keep = table.provider == PROVIDERS.index(provider)
+        if horizon is not None:
+            keep &= table.horizon == horizon
+        records = table.take(np.flatnonzero(keep))
+        if not len(records):
             raise ConfigError(f"no {provider} forecast records"
                               + (f" at horizon d{horizon}" if horizon is not None else ""))
-        keys = [(rec.target_date, provider, rec.horizon) for rec in records]
+        keys = [(day, provider, h) for day, h in zip(records.dates, records.horizon.tolist())]
         wind_height = cfg.forecast_wind_height
     values, clamped = pipelines.estimate(bundle, records, cfg.site(),
                                          wind_height)[estimator]

@@ -25,7 +25,7 @@ from . import pipelines
 from .errors import (DegenerateActuals, EmptyInput, LengthMismatch,
                      MissingCells, NoModels, NonFinite, RangeError)
 from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR, ModelBundle
-from .weather.records import MAX_HORIZON, PROVIDERS, index_forecasts, pair_on_date
+from .weather.records import MAX_HORIZON, PROVIDERS, as_table, date_ordinals, join_dates
 
 MAPE_EPSILON = {TARGET_ET0: 0.05, TARGET_SR: 1.0}
 UNITS_NOTE = {TARGET_ET0: "mm/day", TARGET_SR: "W/m2"}
@@ -112,14 +112,16 @@ def metrics(actual, predicted, *, mape_epsilon: float = 1e-9,
 _CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, RangeError)
 
 
-def _aligned_cells(observations, forecasts, providers, horizons):
-    """(provider, horizon, [(observation, forecast)], coverage) per cell, one join each."""
-    index = index_forecasts(forecasts)
-    ordered = sorted(observations, key=lambda o: o.date)
+def _aligned_cells(ordered, table, providers, horizons):
+    """(provider, horizon, observation positions, table rows, coverage) per cell.
+
+    `ordered` are the observations sorted by date; each cell is one join
+    on the table's one cached (provider, horizon) index.
+    """
+    ordinals = date_ordinals(ordered)
     for provider in providers:
         for horizon in horizons:
-            yield (provider, horizon,
-                   *pair_on_date(ordered, index, horizon, (provider,)))
+            yield (provider, horizon, *join_dates(table, ordinals, horizon, (provider,)))
 
 
 @dataclass(frozen=True)
@@ -138,21 +140,25 @@ def compare_forecast_fidelity(observations, forecasts, providers=None,
     never supplied) are recorded as omissions instead of aborting the
     sweep. Negative R^2 values are kept.
     """
+    table = as_table(forecasts)
     if providers is None:
-        providers = tuple(sorted({f.provider for f in forecasts})) or PROVIDERS
+        providers = tuple(table.providers()) or PROVIDERS
+    ordered = sorted(observations, key=lambda o: o.date)
+    observed = {attr: np.array([getattr(o, attr) for o in ordered], dtype=np.float64)
+                for attr in _FEATURE_ATTR.values()}
     cells = {}
     omissions = []
-    for provider, horizon, pairs, _ in _aligned_cells(observations, forecasts,
-                                                       providers, horizons):
+    for provider, horizon, matched, rows, _ in _aligned_cells(ordered, table, providers,
+                                                               horizons):
         for feature in FIDELITY_FEATURES:
             attr = _FEATURE_ATTR[feature]
             key = (feature, provider, horizon)
-            usable = [pair for pair in pairs if getattr(pair[1], attr) is not None]
+            usable = table.present[attr][rows]
             try:
-                if len(usable) < 2:
-                    raise LengthMismatch(f"only {len(usable)} usable pairs")
-                cells[key] = metrics([getattr(obs, attr) for obs, _ in usable],
-                                     [getattr(fc, attr) for _, fc in usable]).r2
+                if usable.sum() < 2:
+                    raise LengthMismatch(f"only {usable.sum()} usable pairs")
+                cells[key] = metrics(observed[attr][matched[usable]],
+                                     table.values[attr][rows[usable]]).r2
             except (LengthMismatch, DegenerateActuals, NonFinite) as exc:
                 omissions.append((key, str(exc)))
     return FidelityReport(cells=cells, omissions=tuple(omissions))
@@ -192,27 +198,26 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
     if models.et0_model is None or models.sr_model is None:
         raise NoModels("the sweep needs trained ET0 and SR models")
     ordered = sorted(observations, key=lambda o: o.date)
-    row_of = {o.date: i for i, o in enumerate(ordered)}
+    table = as_table(forecasts)
     targets = {TARGET_ET0: pipelines.build_et0_target(ordered, site, humidity_mode).values,
                TARGET_SR: pipelines.build_sr_target(ordered).values}
     cells, coverage, omissions, errors = {}, {}, [], {}
-    for provider, horizon, pairs, cell_coverage in _aligned_cells(
-            observations, forecasts, providers, horizons):
-        usable = [pair for pair in pairs
-                  if pair[1].rh_avg is not None and pair[1].wind_avg is not None]
-        dates = [obs.date for obs, _ in usable]
-        rows = np.array([row_of[d] for d in dates], dtype=np.intp)
-        estimates = pipelines.estimate(models, [fc for _, fc in usable], site,
+    for provider, horizon, matched, rows, cell_coverage in _aligned_cells(
+            ordered, table, providers, horizons):
+        usable = table.present["rh_avg"][rows] & table.present["wind_avg"][rows]
+        positions = matched[usable]
+        dates = [ordered[i].date for i in positions.tolist()]
+        estimates = pipelines.estimate(models, table.take(rows[usable]), site,
                                        forecast_wind_height)
         for estimator in ESTIMATORS:
             key = (horizon, provider, estimator)
             kind = TARGET_SR if estimator == "SR_ANN" else TARGET_ET0
             predicted, _ = estimates[estimator]
             try:
-                actual = targets[kind][rows]
+                actual = targets[kind][positions]
                 errors[key] = list(zip(dates, np.abs(actual - predicted).tolist()))
-                if len(pairs) < 2:
-                    raise LengthMismatch(f"only {len(pairs)} matched dates")
+                if matched.size < 2:
+                    raise LengthMismatch(f"only {matched.size} matched dates")
                 cells[key] = metrics(actual, predicted, mape_epsilon=MAPE_EPSILON[kind],
                                      units=UNITS_NOTE[kind])
                 coverage[key] = cell_coverage

@@ -17,15 +17,18 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fao56
-from .errors import DomainError, FeatureMismatch, MissingField, RangeError
+from .errors import (DomainError, EtoforgeError, FeatureMismatch, MissingField,
+                     RangeError)
 from .regressor import MlpModel, forward, predict_batch
-from .weather.records import DailyObservation, ForecastRecord, SiteMetadata
+from .weather.records import (DailyObservation, ForecastRecord, ForecastTable,
+                              SiteMetadata)
 
 FEATURE_NAMES = ("temp_max", "temp_min", "rh_avg", "wind_avg",
                  "doy_sin", "doy_cos", "ra")
@@ -92,16 +95,12 @@ class ModelBundle:
     sr_model: object = None
 
 
-def _record_day(record) -> dt.date:
-    if isinstance(record, DailyObservation):
-        return record.date
-    if isinstance(record, ForecastRecord):
-        return record.target_date
-    raise FeatureMismatch(f"unsupported record type {type(record).__name__}")
-
-
 class _Fields:
-    """Records read field by field, each field at most once and only on first use."""
+    """Observations read field by field, each field at most once and only on first use.
+
+    The observation counterpart of a ForecastTable: both give `dates`,
+    `day_of_year` and `column(name)`.
+    """
 
     def __init__(self, records):
         self.records = list(records)
@@ -109,7 +108,10 @@ class _Fields:
 
     @functools.cached_property
     def dates(self) -> list:
-        return [_record_day(r) for r in self.records]
+        for record in self.records:
+            if not isinstance(record, DailyObservation):
+                raise FeatureMismatch(f"unsupported record type {type(record).__name__}")
+        return [record.date for record in self.records]
 
     @functools.cached_property
     def day_of_year(self) -> np.ndarray:
@@ -125,9 +127,14 @@ class _Fields:
         return self._columns[name]
 
 
-def _read_once(records) -> _Fields:
-    """`records` as a `_Fields`; `estimate` hands its one table to every step."""
-    return records if isinstance(records, _Fields) else _Fields(records)
+def _read_once(records):
+    """`records` as columns read once: a ForecastTable for forecasts, else a _Fields."""
+    if isinstance(records, (_Fields, ForecastTable)):
+        return records
+    records = list(records)
+    if records and all(isinstance(r, ForecastRecord) for r in records):
+        return ForecastTable.from_records(records)
+    return _Fields(records)
 
 
 def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
@@ -139,23 +146,27 @@ def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
     calendar features use a 365.25-day period, so Dec 31 and Jan 1 land
     next to each other on the cycle.
     """
+    fields = _read_once(records)
+    return _features(fields, site, names), fields.dates
+
+
+def _features(fields, site: SiteMetadata, names) -> np.ndarray:
+    """The feature matrix of :func:`feature_matrix`, from columns read once."""
     names = tuple(names)
     unknown = [n for n in names if n not in FEATURE_NAMES]
     if unknown:
         raise FeatureMismatch(f"unknown feature name(s) {unknown}")
-    fields = _read_once(records)
-    dates = fields.dates
-    if not dates:
-        return np.zeros((0, len(names))), []
+    doy = fields.day_of_year
+    if not len(doy):
+        return np.zeros((0, len(names)))
     columns = {name: fields.column(name)
                for name in ("temp_max", "temp_min", "rh_avg", "wind_avg")
                if name in names}
-    doy = fields.day_of_year
     angle = 2.0 * math.pi * doy / DOY_PERIOD
     columns["doy_sin"] = np.sin(angle)
     columns["doy_cos"] = np.cos(angle)
     columns["ra"] = fao56.extraterrestrial_radiation(site.latitude_rad, doy)
-    return np.column_stack([columns[n] for n in names]), dates
+    return np.column_stack([columns[n] for n in names])
 
 
 def make_features(record, site: SiteMetadata, names=FEATURE_NAMES) -> FeatureVector:
@@ -176,16 +187,16 @@ def _physics_et0(records, sr_wm2, site: SiteMetadata, humidity_mode: str,
 
     `records` supply temperature, humidity and wind. Wind height defaults
     to the site sensor height for observations and to the provider
-    assumption for forecasts. A failing day is named by its date.
+    assumption, DEFAULT_FORECAST_WIND_HEIGHT, for forecasts. A failing day
+    is named by its date.
     """
     fields = _read_once(records)
     humidity = ("rh_max", "rh_min") if humidity_mode == "extremes" else ("rh_avg",)
     columns = {name: fields.column(name)
                for name in ("temp_max", "temp_min", *humidity, "wind_avg")}
     if wind_height is None:
-        wind_height = np.array([DEFAULT_FORECAST_WIND_HEIGHT
-                                if isinstance(r, ForecastRecord)
-                                else site.wind_sensor_height for r in fields.records])
+        wind_height = (DEFAULT_FORECAST_WIND_HEIGHT if isinstance(fields, ForecastTable)
+                       else site.wind_sensor_height)
     try:
         return fao56.et0_fao56pm(fao56.Et0Inputs(
             temp_max=columns["temp_max"],
@@ -230,31 +241,59 @@ def _check_target(model: MlpModel, target: str):
             f"model targets {model.target_name!r}, expected {target!r}")
 
 
+class Estimates(Mapping):
+    """{estimator: (values, clamped)} from one :func:`estimate` call.
+
+    An estimator whose step failed raises that error when it is read, and
+    only then: a day the hybrid physics rejects fails ET0_HYB alone.
+    """
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+
+    def __getitem__(self, estimator):
+        entry = self._entries[estimator]
+        if isinstance(entry, EtoforgeError):
+            raise entry
+        return entry
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 def estimate(bundle: ModelBundle, records, site: SiteMetadata,
-             wind_height: float | None = None) -> dict:
-    """Score `records` with every estimator `bundle` serves.
+             wind_height: float | None = None) -> Estimates:
+    """Score `records` (observations, forecast records or a ForecastTable)
+    with every estimator `bundle` serves.
 
     Returns {estimator: (values, clamped)}, arrays in record order:
     ET0_ANN from the ET0 model; SR_ANN and ET0_HYB from the SR model.
     Each model runs once. ET0_HYB feeds the clamped SR estimate into the
-    physics, flagged if either clamp fired. Each value is the one its
+    physics, flagged if either clamp fired; if the physics rejects the
+    input, reading ET0_HYB raises that error. Each value is the one its
     record would get if scored alone. Each field is read from the records
     once, and only if a model or the physics needs it.
     """
-    fields = _Fields(records)
+    fields = _read_once(records)
     out = {}
     for estimator, model, target in (("ET0_ANN", bundle.et0_model, TARGET_ET0),
                                      ("SR_ANN", bundle.sr_model, TARGET_SR)):
         if model is not None:
             _check_target(model, target)
-            matrix, _ = feature_matrix(fields, site, model.feature_names)
+            matrix = _features(fields, site, model.feature_names)
             raw = predict_batch(model, matrix)
             out[estimator] = np.maximum(raw, 0.0), raw < 0.0
     if "SR_ANN" in out:
         sr, sr_clamped = out["SR_ANN"]
-        physics = _physics_et0(fields, sr, site, "average", wind_height)
-        out["ET0_HYB"] = physics.et0, sr_clamped | physics.clamped
-    return out
+        try:
+            physics = _physics_et0(fields, sr, site, "average", wind_height)
+            out["ET0_HYB"] = physics.et0, sr_clamped | physics.clamped
+        except (DomainError, MissingField, RangeError) as exc:
+            out["ET0_HYB"] = exc
+    return Estimates(out)
 
 
 def _predict_row(model: MlpModel, fv: FeatureVector, target: str) -> Prediction:

@@ -1,9 +1,8 @@
 """Weather data model: canonical records, station CSV, providers, alignment."""
 
 from .records import (MAX_HORIZON, PROVIDERS, AlignedPair, AlignResult,
-                      DailyObservation, ForecastRecord, SiteMetadata,
-                      align_horizons, index_forecasts, pair_on_date,
-                      read_text)
+                      DailyObservation, ForecastRecord, ForecastTable,
+                      SiteMetadata, align_horizons, index_forecasts, read_text)
 from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
                           serialize_ws_csv, ws_schema_text)
 from .providers import (ENV_KEYS, FieldMap, ForecastCache, ProviderMapping,
@@ -14,8 +13,8 @@ from . import units
 
 __all__ = [
     "MAX_HORIZON", "PROVIDERS", "AlignedPair", "AlignResult",
-    "DailyObservation", "ForecastRecord", "SiteMetadata", "align_horizons",
-    "index_forecasts", "pair_on_date", "read_text", "WsSchema", "load_ws_schema",
+    "DailyObservation", "ForecastRecord", "ForecastTable", "SiteMetadata",
+    "align_horizons", "index_forecasts", "read_text", "WsSchema", "load_ws_schema",
     "parse_ws_csv", "serialize_ws_csv", "ws_schema_text", "ENV_KEYS", "FieldMap",
     "ForecastCache",
     "ProviderMapping", "fetch_forecasts", "load_provider_mapping",

@@ -37,7 +37,8 @@ from pathlib import Path
 from ..errors import (AuthError, CacheMiss, ProviderSchemaError, RangeError,
                       RateLimited)
 from . import units
-from .records import MAX_HORIZON, PROVIDERS, ForecastRecord, SiteMetadata
+from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastRecord,
+                      ForecastTable, SiteMetadata)
 
 log = logging.getLogger(__name__)
 
@@ -227,17 +228,22 @@ def records_to_jsonl(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def records_from_jsonl(text: str) -> list:
-    """Parse a store written by :func:`records_to_jsonl`.
+def records_from_jsonl(text: str) -> ForecastTable:
+    """Parse a store written by :func:`records_to_jsonl` into one ForecastTable.
 
-    A line that is not one valid stored record (a truncated or hand-edited
-    store, text after the object, a record failing its checks) raises
-    RangeError naming the line.
-    Records share one date object per distinct ISO date string.
+    Each line is decoded once: its keys and fields go onto columns, the
+    line itself becomes the row's source, and the decoded object is
+    dropped. The record checks then run on whole columns. A line that is
+    not one valid stored record (a truncated or hand-edited store, text
+    after the object, a record failing its checks) raises RangeError
+    naming the first such line.
     """
     decode = json.JSONDecoder().raw_decode
-    date = functools.cache(dt.date.fromisoformat)
-    records = []
+    codes = {provider: i for i, provider in enumerate(PROVIDERS)}
+    ordinal = functools.cache(lambda iso: dt.date.fromisoformat(iso).toordinal())
+    rows, lines, provider, target, issue = [], [], [], [], []
+    fields = {name: [] for name in FORECAST_FIELDS}
+    failure = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -246,20 +252,25 @@ def records_from_jsonl(text: str) -> list:
             doc, end = decode(line)
             if end != len(line):
                 raise ValueError(f"text after the record at column {end + 1}")
-            record = ForecastRecord(
-                provider=doc["provider"],
-                target_date=date(doc["target_date"]),
-                issue_date=date(doc["issue_date"]),
-                temp_max=doc["temp_max"],
-                temp_min=doc["temp_min"],
-                rh_avg=doc.get("rh_avg"),
-                wind_avg=doc.get("wind_avg"),
-                precip=doc.get("precip"),
-                extras=doc.get("extras", {}))
-        except (ValueError, KeyError, TypeError, RangeError) as exc:
-            raise RangeError(f"not a stored forecast record: {exc!r}", row=lineno) from exc
-        records.append(record)
-    return records
+            code = codes.get(doc["provider"])
+            if code is None:
+                raise ValueError(f"unknown provider {doc['provider']!r}")
+            days = ordinal(doc["target_date"]), ordinal(doc["issue_date"])
+        except (ValueError, KeyError, TypeError) as exc:
+            failure = lineno, exc
+            break
+        rows.append(lineno)
+        lines.append(line)
+        provider.append(code)
+        target.append(days[0])
+        issue.append(days[1])
+        for name, column in fields.items():
+            column.append(doc.get(name))
+    table = ForecastTable.from_json(provider, target, issue, fields, lines, rows)
+    if failure is not None:
+        lineno, exc = failure
+        raise RangeError(f"not a stored forecast record: {exc!r}", row=lineno) from exc
+    return table
 
 
 def _default_http_get(url, params):

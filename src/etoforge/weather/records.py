@@ -9,12 +9,17 @@ provider label.
 from __future__ import annotations
 
 import datetime as dt
+import functools
+import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from ..errors import RangeError
+import numpy as np
+
+from ..errors import MissingField, RangeError
 
 PROVIDERS = ("VC", "OWM")
 MAX_HORIZON = 15
@@ -175,11 +180,186 @@ class AlignResult(NamedTuple):
     total_observed: int
 
 
-def index_forecasts(forecasts) -> dict:
-    """Group forecasts in one pass: {(provider, horizon): {target_date: record}}.
+FORECAST_FIELDS = ("temp_max", "temp_min", "rh_avg", "wind_avg", "precip")
+_BOUNDS = {"temp_max": (-math.inf, math.inf), "temp_min": (-math.inf, math.inf),
+           "rh_avg": (0.0, 100.0), "wind_avg": (0.0, math.inf), "precip": (0.0, math.inf)}
+_FLOAT_OR_ABSENT = {float, type(None)}
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
-    This decides which record answers a (provider, horizon, target date)
-    key: when a key repeats, the first record in input order wins.
+
+class ForecastTable:
+    """Forecast records as columns, one row per record, in input order.
+
+    `provider` holds indices into PROVIDERS; `target` and `issue` hold
+    date ordinals and `horizon` their difference. `values[name]` is one
+    float64 column per field of FORECAST_FIELDS and `present[name]` marks
+    the rows that carry it. An absent value is stored as 0.0 behind its
+    mask, never as NaN, so a stored NaN still fails the checks.
+    `sources[i]` is what the row view `table[i]` (a ForecastRecord) is
+    made from: the record the table was built of, or its store line,
+    whose `extras` are decoded only then. Views share one `date` per
+    ordinal.
+    """
+
+    def __init__(self, provider, target, issue, values, present, sources, dates=None):
+        self.provider = provider
+        self.target = target
+        self.issue = issue
+        self.horizon = target - issue
+        self.values = values
+        self.present = present
+        self.sources = sources
+        self._dates = {} if dates is None else dates
+        self._cells = None
+
+    @classmethod
+    def from_json(cls, provider, target, issue, fields, sources, rows):
+        """A table of decoded JSON columns, checked as ForecastRecord checks a record.
+
+        `provider`, `target` and `issue` list provider indices and date
+        ordinals; `fields[name]` lists each row's JSON value, None where
+        absent. The checks run on whole columns; the first row that fails
+        one raises the RangeError its ForecastRecord raises, naming
+        `rows[i]`.
+        """
+        target = np.array(target, dtype=np.int64)
+        issue = np.array(issue, dtype=np.int64)
+        horizon = target - issue
+        bad = (horizon < 0) | (horizon > MAX_HORIZON)
+        values, present = {}, {}
+        for name in FORECAST_FIELDS:
+            raw = fields[name]
+            if not set(map(type, raw)) <= _FLOAT_OR_ABSENT:
+                typed = np.array([_holds_float(v) for v in raw], dtype=bool)
+                bad |= ~typed
+                raw = [v if ok else None for v, ok in zip(raw, typed)]
+            column = np.array(raw, dtype=object)
+            present[name] = column != None  # noqa: E711 - element-wise
+            column[~present[name]] = 0.0
+            x = values[name] = column.astype(np.float64)
+            low, high = _BOUNDS[name]
+            bad |= present[name] & ~(np.isfinite(x) & (x >= low) & (x <= high))
+        bad |= ~present["temp_max"] | ~present["temp_min"]
+        bad |= values["temp_min"] > values["temp_max"]
+        if bad.any():
+            i = int(np.argmax(bad))
+            try:
+                ForecastRecord(PROVIDERS[provider[i]], dt.date.fromordinal(target[i]),
+                               dt.date.fromordinal(issue[i]),
+                               **{name: fields[name][i] for name in FORECAST_FIELDS})
+            except (OverflowError, RangeError, TypeError) as exc:
+                raise RangeError(f"not a stored forecast record: {exc!r}",
+                                 row=rows[i]) from exc
+            raise RangeError("not a stored forecast record: a value does not fit a float",
+                             row=rows[i])
+        return cls(np.array(provider, dtype=np.int64), target, issue, values, present,
+                   np.array(sources, dtype=object))
+
+    @classmethod
+    def from_records(cls, records) -> "ForecastTable":
+        """The table of `records`; each row view is its record itself."""
+        records = list(records)
+        return cls.from_json([PROVIDERS.index(r.provider) for r in records],
+                             [r.target_date.toordinal() for r in records],
+                             [r.issue_date.toordinal() for r in records],
+                             {name: [getattr(r, name) for r in records]
+                              for name in FORECAST_FIELDS},
+                             records, range(len(records)))
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def __getitem__(self, i) -> ForecastRecord:
+        source = self.sources[i]
+        if isinstance(source, ForecastRecord):
+            return source
+        return ForecastRecord(
+            provider=PROVIDERS[self.provider[i]], target_date=self.date(self.target[i]),
+            issue_date=self.date(self.issue[i]), extras=json.loads(source).get("extras", {}),
+            **{name: float(self.values[name][i]) if self.present[name][i] else None
+               for name in FORECAST_FIELDS})
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def date(self, ordinal) -> dt.date:
+        """The one `date` object this table's views use for `ordinal`."""
+        ordinal = int(ordinal)
+        day = self._dates.get(ordinal)
+        if day is None:
+            day = self._dates[ordinal] = dt.date.fromordinal(ordinal)
+        return day
+
+    @functools.cached_property
+    def dates(self) -> list:
+        """Each row's target date."""
+        return [self.date(o) for o in self.target.tolist()]
+
+    @functools.cached_property
+    def day_of_year(self) -> np.ndarray:
+        """Each row's target day of the year, 1-based."""
+        days = (self.target - _EPOCH_ORDINAL).astype("datetime64[D]")
+        return (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
+
+    def column(self, name) -> np.ndarray:
+        """One field's column; MissingField if any row lacks it."""
+        if name not in self.values or not self.present[name].all():
+            raise MissingField(name)
+        return self.values[name]
+
+    def providers(self) -> list:
+        """The providers with rows here, in name order."""
+        return sorted(PROVIDERS[code] for code in np.unique(self.provider).tolist())
+
+    def take(self, rows) -> "ForecastTable":
+        """The table of `rows` (indices into this one), sharing its dates."""
+        return ForecastTable(self.provider[rows], self.target[rows], self.issue[rows],
+                             {name: v[rows] for name, v in self.values.items()},
+                             {name: p[rows] for name, p in self.present.items()},
+                             self.sources[rows], self._dates)
+
+    def cell(self, provider: str, horizon: int) -> np.ndarray:
+        """Rows of one (provider, horizon) cell by ascending target date, one per date.
+
+        Where a (provider, horizon, target date) key repeats, the first
+        record in input order answers it. The index behind this is built
+        once per table and shared by every caller.
+        """
+        if self._cells is None:
+            self._cells = self._build_index()
+        return self._cells.get((provider, horizon), _NO_ROWS)
+
+    def _build_index(self) -> dict:
+        """{(provider, horizon): rows}: one stable sort by (provider, horizon, target date)."""
+        order = np.lexsort((self.target, self.horizon, self.provider))
+        cell = (self.provider * (MAX_HORIZON + 1) + self.horizon)[order]
+        target = self.target[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (cell[1:] != cell[:-1]) | (target[1:] != target[:-1])
+        order, cell = order[first], cell[first]
+        return {(PROVIDERS[c // (MAX_HORIZON + 1)], c % (MAX_HORIZON + 1)): order[cell == c]
+                for c in np.unique(cell).tolist()}
+
+
+def _holds_float(value) -> bool:
+    """Whether a stored JSON value is absent (None) or a number a float64 holds."""
+    return value is None or (type(value) in (float, int, bool)
+                             and abs(value) <= sys.float_info.max)
+
+
+def as_table(forecasts) -> ForecastTable:
+    """`forecasts` as a ForecastTable: the table itself, or the table of its records."""
+    if isinstance(forecasts, ForecastTable):
+        return forecasts
+    return ForecastTable.from_records(forecasts)
+
+
+def index_forecasts(forecasts) -> dict:
+    """Group forecast records in one pass: {(provider, horizon): {target_date: record}}.
+
+    When a key repeats, the first record in input order wins, as in
+    :meth:`ForecastTable.cell`.
     """
     index = {}
     for fc in forecasts:
@@ -187,19 +367,30 @@ def index_forecasts(forecasts) -> dict:
     return index
 
 
-def pair_on_date(ordered, index, horizon, providers):
-    """Join date-sorted observations to the horizon-`horizon` forecasts of `index`.
+def join_dates(table: ForecastTable, ordinals, horizon, providers):
+    """Join date ordinals to the horizon-`horizon` forecasts of `table`.
 
-    Returns ([(observation, forecast)], coverage), one lookup per observation;
-    a date takes the record of the first of `providers` that has one.
+    Returns (positions in `ordinals`, table rows, coverage), one binary
+    search per provider cell; a date takes the row of the first of
+    `providers` whose cell has it.
     """
     if not 0 <= horizon <= MAX_HORIZON:
         raise RangeError(f"horizon {horizon} outside 0..{MAX_HORIZON}")
-    by_date = {}
+    chosen = np.full(len(ordinals), -1, dtype=np.intp)
     for provider in reversed(providers):
-        by_date.update(index.get((provider, horizon), {}))
-    pairs = [(obs, fc) for obs in ordered if (fc := by_date.get(obs.date)) is not None]
-    return pairs, len(pairs) / len(ordered) if ordered else 0.0
+        rows = table.cell(provider, horizon)
+        if rows.size:
+            targets = table.target[rows]
+            at = np.minimum(np.searchsorted(targets, ordinals), rows.size - 1)
+            hit = targets[at] == ordinals
+            chosen[hit] = rows[at[hit]]
+    matched = np.flatnonzero(chosen >= 0)
+    return matched, chosen[matched], matched.size / len(ordinals) if len(ordinals) else 0.0
+
+
+def date_ordinals(records) -> np.ndarray:
+    """The ordinals of the records' `date`s."""
+    return np.array([r.date.toordinal() for r in records], dtype=np.int64)
 
 
 def align_horizons(observations, forecasts, horizon) -> AlignResult:
@@ -213,9 +404,11 @@ def align_horizons(observations, forecasts, horizon) -> AlignResult:
     date) key repeats, the first record in input order: only then does
     the result depend on input ordering.
     """
-    index = index_forecasts(forecasts)
-    joined, coverage = pair_on_date(sorted(observations, key=lambda o: o.date), index,
-                                    horizon, sorted({provider for provider, _ in index}))
-    pairs = [AlignedPair(date=obs.date, observed=obs, forecast=fc) for obs, fc in joined]
+    table = as_table(forecasts)
+    ordered = sorted(observations, key=lambda o: o.date)
+    matched, rows, coverage = join_dates(table, date_ordinals(ordered), horizon,
+                                         table.providers())
+    pairs = [AlignedPair(date=ordered[i].date, observed=ordered[i], forecast=table[r])
+             for i, r in zip(matched.tolist(), rows.tolist())]
     return AlignResult(pairs=pairs, coverage=coverage,
                        matched=len(pairs), total_observed=len(observations))

@@ -7,10 +7,13 @@ import shutil
 
 import pytest
 
+from etoforge import regressor
 from etoforge.cli import main
 from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
                                 write_synthetic_cache)
-from etoforge.weather import serialize_ws_csv, ws_schema_text
+from etoforge.weather import ForecastTable, serialize_ws_csv, ws_schema_text
+
+from .test_pipelines import _polar_night, _zero_model
 
 
 def _write_inputs(root, observations, forecasts):
@@ -68,18 +71,21 @@ def test_ingest_ws_missing_schema(tmp_path, synth, capsys):
     assert "ws_schema" in capsys.readouterr().err
 
 
-def test_ingest_ws_bad_row_is_data_error(tmp_path, synth, capsys):
+@pytest.mark.parametrize("cell", ["140.0", "nan", "inf", "humid", ""],
+                         ids=["out-of-range", "nan", "inf", "non-numeric", "empty"])
+def test_ingest_ws_bad_row_is_data_error(tmp_path, synth, capsys, cell):
     site, observations, _ = synth
     text = serialize_ws_csv(observations[:5])
     lines = text.splitlines()
     parts = lines[3].split(",")
-    parts[6] = "140.0"                       # rh_avg out of range on data row 3
+    parts[6] = cell                          # rh_avg on data row 3
     lines[3] = ",".join(parts)
     (tmp_path / "ws.csv").write_text("\n".join(lines) + "\n")
     (tmp_path / "ws.schema").write_text(ws_schema_text())
     cfg = _config(tmp_path, tmp_path / "out", site)
     assert main(["ingest", "ws", "--config", str(cfg)]) == 3
-    assert "row 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 3: ") and "Traceback" not in err
 
 
 def test_ingest_ws_header_only_is_data_error(tmp_path, synth, capsys):
@@ -222,6 +228,22 @@ def test_predict_forecast_source_with_horizon(big_ws):
                for l in lines[1:])
 
 
+def test_sr_ann_does_not_need_the_hybrid_physics(tmp_path, capsys):
+    site, observations, _ = _polar_night()
+    _write_inputs(tmp_path, observations, [])
+    cfg = _config(tmp_path, tmp_path / "out", site)
+    assert main(["ingest", "ws", "--config", str(cfg)]) == 0
+    regressor.save(_zero_model("SR", 5.0), tmp_path / "out" / "model_sr.json")
+    predict = ["predict", "--config", str(cfg), "--source", "ws", "--estimator"]
+    assert main(predict + ["sr_ann"]) == 0
+    lines = (tmp_path / "out" / "predictions_sr_ann_ws.csv").read_text().splitlines()
+    assert [line.split(",")[4] for line in lines[1:]] == ["5.0", "5.0"]
+    capsys.readouterr()
+    assert main(predict + ["et0_hyb"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2022-12-20: ") and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def small_ws(tmp_path_factory, synth):
     """A 40-day VC-only workspace, ingested and trained, to copy and corrupt."""
@@ -275,6 +297,22 @@ def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+def test_evaluate_builds_the_forecast_index_once(small_ws, tmp_path, monkeypatch):
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    built = []
+    build_index = ForecastTable._build_index
+
+    def counting(table):
+        built.append(len(table))
+        return build_index(table)
+
+    monkeypatch.setattr(ForecastTable, "_build_index", counting)
+    assert main(["evaluate", "--config", str(small_ws["cfg"]),
+                 "--out-dir", str(root / "out")]) == 0
+    assert built == [640]
 
 
 def test_predict_ws_source(big_ws):

@@ -1,14 +1,17 @@
 """Metric formulas, fidelity analysis, sweeps, thresholds, report emission."""
 
 import datetime as dt
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from etoforge import pipelines
-from etoforge.errors import (DegenerateActuals, EmptyInput, LengthMismatch,
-                             MissingCells, NoModels, NonFinite, RangeError)
+from etoforge.errors import (DegenerateActuals, DomainError, EmptyInput,
+                             LengthMismatch, MissingCells, NoModels, NonFinite,
+                             RangeError)
 from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
                               MetricReport, ModelBundle, _aligned_cells,
                               compare_forecast_fidelity, emit_report,
@@ -16,9 +19,11 @@ from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
                               sweep_from_json, usable_horizon)
 from etoforge.synthetic import (synthetic_forecasts, synthetic_observations,
                                 synthetic_site)
-from etoforge.weather import align_horizons
+from etoforge.weather import (ForecastTable, align_horizons, records_from_jsonl,
+                              records_to_jsonl)
 
 from .gen_golden import GOLDEN_PATH, build_report
+from .test_pipelines import _polar_night, _zero_model
 
 
 def _brute_force(actual, predicted, eps=1e-9):
@@ -100,6 +105,19 @@ def test_metrics_permutation_invariance():
     assert base == shuffled
 
 
+_centi = st.integers(-100_000, 100_000).map(lambda k: k / 100.0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(pairs=st.lists(st.tuples(_centi, _centi), min_size=2, max_size=60), data=st.data())
+def test_metrics_invariant_under_any_permutation(pairs, data):
+    actual, predicted = (np.array(series) for series in zip(*pairs))
+    assume(np.ptp(actual) > 0.0)
+    order = np.array(data.draw(st.permutations(range(len(pairs)))))
+    assert metrics(actual[order], predicted[order], mape_epsilon=0.05) \
+        == metrics(actual, predicted, mape_epsilon=0.05)
+
+
 def test_mae_never_exceeds_rmse_and_rmse_squares_to_mse():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -171,17 +189,48 @@ def test_fidelity_records_omissions_instead_of_aborting(small_world):
 
 def test_aligned_cells_equal_align_horizons(synth):
     _, observations, forecasts = synth
-    cells = _aligned_cells(observations, forecasts["VC"] + forecasts["OWM"],
-                           ("VC", "OWM"), range(16))
+    table = ForecastTable.from_records(forecasts["VC"] + forecasts["OWM"])
+    ordered = sorted(observations, key=lambda o: o.date)
     seen = 0
-    for provider, horizon, pairs, coverage in cells:
+    for provider, horizon, matched, rows, coverage in _aligned_cells(
+            ordered, table, ("VC", "OWM"), range(16)):
         reference = align_horizons(observations, forecasts[provider], horizon)
-        assert [obs.date for obs, _ in pairs] == [p.date for p in reference.pairs]
-        assert all(obs is p.observed and fc is p.forecast
-                   for (obs, fc), p in zip(pairs, reference.pairs, strict=True))
+        assert [ordered[i].date for i in matched] == [p.date for p in reference.pairs]
+        assert all(ordered[i] is p.observed and table[r] is p.forecast
+                   for i, r, p in zip(matched, rows, reference.pairs, strict=True))
         assert coverage == reference.coverage
         seen += 1
     assert seen == 32
+
+
+def test_absent_optional_fields_are_masked_out(small_world, full_models):
+    site, observations = small_world
+    forecasts = synthetic_forecasts(observations, "VC", seed=2)
+    lines = records_to_jsonl(forecasts).splitlines()
+    for i in range(0, len(lines), 7):
+        doc = json.loads(lines[i])
+        del doc["rh_avg"]
+        lines[i] = json.dumps(doc)
+    table = records_from_jsonl("\n".join(lines))
+    assert table[0].rh_avg is None
+    kept = table.take(np.flatnonzero(table.present["rh_avg"]))
+    horizons = range(3)
+    fidelity = compare_forecast_fidelity(observations, table, ("VC",), horizons)
+    assert fidelity.cells == {
+        **compare_forecast_fidelity(observations, forecasts, ("VC",), horizons).cells,
+        **{key: r2 for key, r2 in compare_forecast_fidelity(
+            observations, kept, ("VC",), horizons).cells.items() if key[0] == "HumidityAvg"}}
+    sweep = horizon_sweep(full_models, observations, table, site, horizons, ("VC",))
+    masked = horizon_sweep(full_models, observations, kept, site, horizons, ("VC",))
+    assert sweep.cells == masked.cells and sweep.errors == masked.errors
+    assert all(report.n < len(observations) for report in sweep.cells.values())
+
+
+def test_sweep_fails_where_the_hybrid_physics_rejects_a_day():
+    site, observations, forecasts = _polar_night()
+    bundle = ModelBundle(et0_model=_zero_model("ET0", 0.5), sr_model=_zero_model("SR", 5.0))
+    with pytest.raises(DomainError, match="2022-12-20"):
+        horizon_sweep(bundle, observations, forecasts, site, horizons=[0], providers=("VC",))
 
 
 def test_horizon_outside_range_is_rejected(small_world, full_models):
@@ -294,6 +343,17 @@ def test_usable_horizon_prefix_semantics():
     # a dip caps the answer even if later horizons recover
     sweep = _fake_sweep([0.9, 0.6, 0.95, 0.9])
     assert usable_horizon(sweep, "ET0_ANN", "VC", ("r2", 0.7)) == 0
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(curve=st.lists(st.floats(-2.0, 1.0), min_size=1, max_size=16),
+       tau=st.floats(-2.0, 1.0))
+def test_usable_horizon_is_the_longest_passing_prefix(curve, tau):
+    sweep = _fake_sweep(curve)
+    u = usable_horizon(sweep, "ET0_ANN", "VC", ("r2", tau))
+    r2 = [sweep.cells[(h, "VC", "ET0_ANN")].r2 for h in range(len(curve))]
+    assert all(value >= tau for value in r2[:u + 1])
+    assert u + 1 == len(r2) or r2[u + 1] < tau
 
 
 def test_usable_horizon_monotone_in_threshold():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from etoforge import fao56, pipelines, regressor
-from etoforge.errors import FeatureMismatch, MissingField
+from etoforge.errors import DomainError, FeatureMismatch, MissingField
 from etoforge.pipelines import (FEATURE_NAMES, FeatureVector, Prediction,
                                 build_et0_target, build_sr_target,
                                 et0_ann_predict, et0_from_sr,
@@ -45,6 +45,23 @@ def _zero_model(target, bias=0.0, names=FEATURE_NAMES):
         layer_sizes=(n, 1), weights=(np.zeros((n, 1)),),
         biases=(np.array([bias]),), activation="relu", scaler=scaler,
         target_name=target)
+
+
+def _polar_night():
+    """(site, observations, d0 forecasts) of two days with no sun at all.
+
+    An SR model that predicts any shortwave there gives the hybrid
+    physics a day it rejects.
+    """
+    site = SiteMetadata("polar", latitude=80.0, longitude=15.0, elevation=10.0,
+                        wind_sensor_height=2.0)
+    days = [dt.date(2022, 12, 20), dt.date(2022, 12, 21)]
+    observations = [_obs(day, temp_max=-5.0 + i, temp_min=-12.0, temp_avg=-8.0,
+                         rh_max=90.0, rh_min=70.0, rh_avg=80.0, sr_avg=0.0)
+                    for i, day in enumerate(days)]
+    forecasts = [_fc(day, temp_max=-5.0 + i, temp_min=-12.0, rh_avg=80.0)
+                 for i, day in enumerate(days)]
+    return site, observations, forecasts
 
 
 # --- features ----------------------------------------------------------------
@@ -245,6 +262,16 @@ def test_estimate_reads_each_field_once(synth, full_models):
     estimates = pipelines.estimate(full_models, records, site)
     assert set(estimates) == set(pipelines.ESTIMATORS)
     assert len(reads) == len(records)
+
+
+def test_estimate_defers_a_physics_error_to_et0_hyb():
+    site, observations, _ = _polar_night()
+    estimates = pipelines.estimate(pipelines.ModelBundle(sr_model=_zero_model("SR", 5.0)),
+                                   observations, site)
+    assert set(estimates) == {"SR_ANN", "ET0_HYB"}
+    assert estimates["SR_ANN"][0].tolist() == [5.0, 5.0]
+    with pytest.raises(DomainError, match="2022-12-20"):
+        estimates["ET0_HYB"]
 
 
 def test_estimate_checks_models(synth, full_models):

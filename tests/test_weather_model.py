@@ -1,6 +1,7 @@
 """Station CSV, unit conversion, record invariants, providers, alignment."""
 
 import datetime as dt
+import gc
 import io
 import json
 
@@ -471,13 +472,29 @@ def _unordered_temperatures(line):
     return json.dumps(doc)
 
 
+def _with(**changes):
+    """A corruption that overwrites fields of a stored line."""
+    return lambda line: json.dumps({**json.loads(line), **changes})
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda line: line + " x",
     lambda line: line + " " + line,
     lambda line: "[]",
     lambda line: "1",
     _unordered_temperatures,
-], ids=["trailing-text", "two-objects", "array", "number", "temp-min-above-max"])
+    _with(rh_avg=float("nan")),
+    _with(wind_avg=float("inf")),
+    _with(precip=float("nan")),
+    _with(temp_max="25.0"),
+    _with(temp_max=10 ** 400),
+    _with(wind_avg=2 ** 1024 - 2 ** 971 + 1),
+    _with(provider="XX"),
+    _with(issue_date="2022-05-01"),
+], ids=["trailing-text", "two-objects", "array", "number", "temp-min-above-max",
+        "nan-humidity", "infinite-wind", "nan-precip", "text-temperature",
+        "integer-beyond-float", "integer-rounding-to-float-max", "unknown-provider",
+        "horizon-above-15"])
 def test_store_bad_line_names_its_physical_line(corrupt):
     lines = _store_lines()
     assert len(records_from_jsonl("\n".join(lines))) == 3
@@ -485,6 +502,47 @@ def test_store_bad_line_names_its_physical_line(corrupt):
     with pytest.raises(RangeError) as err:
         records_from_jsonl("\n".join(lines))
     assert err.value.row == 4
+
+
+def test_store_bad_line_after_a_bad_record_names_the_record():
+    lines = _store_lines()
+    lines[0] = _with(rh_avg=float("nan"))(lines[0])
+    lines[3] = lines[3][:20]
+    with pytest.raises(RangeError) as err:
+        records_from_jsonl("\n".join(lines))
+    assert err.value.row == 1
+
+
+def test_store_absent_optional_field_reads_back_as_none():
+    lines = _store_lines()
+    doc = json.loads(lines[2])
+    del doc["rh_avg"]
+    lines[2] = json.dumps(doc)
+    table = records_from_jsonl("\n".join(lines))
+    assert table.present["rh_avg"].tolist() == [True, False, True]
+    assert table[1].rh_avg is None and table[1].wind_avg == 2.0
+    assert table[0].precip is None and not table.present["precip"].any()
+
+
+def test_store_repeated_key_keeps_the_first_record():
+    lines = [line for line in _store_lines() if line]
+    repeat = _with(temp_max=30.0)(lines[1])
+    for text, first in (([*lines, repeat], 25.0), ([repeat, *lines], 30.0)):
+        table = records_from_jsonl("\n".join(text))
+        assert len(table) == 4
+        rows = table.cell("VC", 1)
+        assert [table[r].target_date for r in rows] == [D(2022, 6, d) for d in (1, 2, 3)]
+        assert table[rows[1]].temp_max == first
+
+
+def test_store_load_adds_fewer_gc_objects_than_records(synth):
+    _, _, forecasts = synth
+    text = records_to_jsonl(forecasts["VC"])
+    gc.collect()
+    before = len(gc.get_objects())
+    table = records_from_jsonl(text)
+    added = len(gc.get_objects()) - before
+    assert len(table) == len(forecasts["VC"]) and added < len(table)
 
 
 def test_store_shares_one_date_object_per_day():
