@@ -1,0 +1,61 @@
+"""Time `ingest forecast --offline` at 365 and 1,460 days and print the ratio.
+
+    PYTHONPATH=src python3 scripts/ingest_scaling.py
+
+Each size gets its own workspace from `synthetic_dataset(seed=11)`: the
+station CSV, its schema, both providers' cached payloads and a config.
+`ingest ws` runs once; `ingest forecast --offline` then runs in this
+process three times and the best time counts. Linear growth reads 4.0x.
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from etoforge import cli
+from etoforge.synthetic import synthetic_dataset, write_synthetic_cache
+from etoforge.weather import serialize_ws_csv, ws_schema_text
+
+SEED = 11
+SIZES = (365, 1460)
+REPEATS = 3
+
+
+def best_ingest_seconds(root: Path, n_days: int) -> float:
+    site, observations, forecasts = synthetic_dataset(seed=SEED, n_days=n_days)
+    (root / "ws.csv").write_text(serialize_ws_csv(observations), encoding="utf-8")
+    (root / "ws.schema").write_text(ws_schema_text(), encoding="utf-8")
+    write_synthetic_cache(forecasts["VC"] + forecasts["OWM"], root / "cache")
+    config = root / "run.cfg"
+    config.write_text(
+        f"site_id = {site.site_id}\nlatitude = {site.latitude}\n"
+        f"longitude = {site.longitude}\nelevation = {site.elevation}\n"
+        f"wind_sensor_height = {site.wind_sensor_height}\nws_csv = {root / 'ws.csv'}\n"
+        f"ws_schema = {root / 'ws.schema'}\nforecast_cache = {root / 'cache'}\n"
+        f"out_dir = {root / 'out'}\n", encoding="utf-8")
+    times = []
+    for argv in [["ingest", "ws"]] + [["ingest", "forecast", "--offline"]] * REPEATS:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv + ["--config", str(config)]) != 0:
+                raise SystemExit(f"{' '.join(argv)} failed at {n_days} days")
+        times.append(time.perf_counter() - start)
+    return min(times[1:])
+
+
+def main() -> int:
+    seconds = {}
+    for n_days in SIZES:
+        with tempfile.TemporaryDirectory() as tmp:
+            seconds[n_days] = best_ingest_seconds(Path(tmp), n_days)
+        print(f"{n_days} days: {seconds[n_days]:.3f} s (best of {REPEATS})")
+    small, large = SIZES
+    print(f"ratio {large}/{small} days: {seconds[large] / seconds[small]:.2f}x")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,8 @@ import numpy as np
 from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import EmptyInput, EtoforgeError, MissingCells
-from .weather import (PROVIDERS, WsSchema, fetch_forecasts, index_forecasts,
-                      load_ws_schema, parse_ws_csv, read_text,
+from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, WsSchema,
+                      fetch_forecasts, load_ws_schema, parse_ws_csv, read_text,
                       records_from_jsonl, records_to_jsonl, serialize_ws_csv,
                       ws_schema_text)
 
@@ -111,21 +110,20 @@ def cmd_ingest_forecast(cfg) -> int:
             raise ConfigError("start_date/end_date not configured and no "
                               "ingested observations to take the range from")
     site = cfg.site()
-    all_records = []
+    tables = []
     for provider in cfg.providers:
-        records = fetch_forecasts(
+        table = fetch_forecasts(
             provider, site, (start, end),
             cache_dir=cfg.forecast_cache, offline=cfg.offline,
             tz_offset_hours=cfg.tz_offset_hours)
-        all_records.extend(records)
-        horizons_per_date = Counter(day for cell in index_forecasts(records).values()
-                                    for day in cell)
-        per_date = sorted(horizons_per_date.values()) or [0]
-        spread = (str(per_date[0]) if per_date[0] == per_date[-1]
-                  else f"{per_date[0]}-{per_date[-1]}")
-        print(f"{provider}: {len(records)} forecast records across "
-              f"{len(horizons_per_date)} target dates, {spread} horizons per date")
-    _write(cfg.out_dir, FORECAST_STORE, records_to_jsonl(all_records))
+        tables.append(table)
+        cells = np.unique(table.target * (MAX_HORIZON + 1) + table.horizon)
+        days, per_date = np.unique(cells // (MAX_HORIZON + 1), return_counts=True)
+        low, high = (per_date.min(), per_date.max()) if days.size else (0, 0)
+        spread = str(low) if low == high else f"{low}-{high}"
+        print(f"{provider}: {len(table)} forecast records across "
+              f"{days.size} target dates, {spread} horizons per date")
+    _write(cfg.out_dir, FORECAST_STORE, records_to_jsonl(ForecastTable.concat(tables)))
     _write_manifest(cfg.out_dir, cfg.seed)
     return 0
 

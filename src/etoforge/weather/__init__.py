@@ -2,7 +2,7 @@
 
 from .records import (MAX_HORIZON, PROVIDERS, AlignedPair, AlignResult,
                       DailyObservation, ForecastRecord, ForecastTable,
-                      SiteMetadata, align_horizons, index_forecasts, read_text)
+                      SiteMetadata, align_horizons, read_text)
 from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
                           serialize_ws_csv, ws_schema_text)
 from .providers import (ENV_KEYS, FieldMap, ForecastCache, ProviderMapping,
@@ -14,7 +14,7 @@ from . import units
 __all__ = [
     "MAX_HORIZON", "PROVIDERS", "AlignedPair", "AlignResult",
     "DailyObservation", "ForecastRecord", "ForecastTable", "SiteMetadata",
-    "align_horizons", "index_forecasts", "read_text", "WsSchema", "load_ws_schema",
+    "align_horizons", "read_text", "WsSchema", "load_ws_schema",
     "parse_ws_csv", "serialize_ws_csv", "ws_schema_text", "ENV_KEYS", "FieldMap",
     "ForecastCache",
     "ProviderMapping", "fetch_forecasts", "load_provider_mapping",

@@ -5,7 +5,8 @@ Two services are wired in: Visual Crossing ("VC") and OpenWeatherMap
 live in the payload, and which units they arrive in is described by a
 versioned mapping table (JSON, shipped under ``etoforge/provider_maps/``
 and overridable per call) rather than by code, since provider schemas
-drift.
+drift. A mapping is compiled once, at load: key tuples for its paths,
+one unit converter per field and one target-date parser.
 
 Every raw response body is written to the cache directory, one file per
 (provider, issue date) at ``<provider>/<issue-date>.json``, before any
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import io
 import json
 import logging
 import os
@@ -33,12 +35,15 @@ import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from ..errors import (AuthError, CacheMiss, ProviderSchemaError, RangeError,
                       RateLimited)
 from . import units
-from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastRecord,
-                      ForecastTable, SiteMetadata)
+from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastTable,
+                      SiteMetadata, as_table, check_forecast_values)
 
 log = logging.getLogger(__name__)
 
@@ -54,38 +59,52 @@ MAPPING_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class FieldMap:
-    path: str
-    unit: str
+    keys: tuple          # the dotted path, split
+    convert: Callable    # a float in the declared unit -> canonical
     optional: bool = False
 
 
 @dataclass(frozen=True)
 class ProviderMapping:
-    """How to pull canonical fields out of one provider's payload."""
+    """How to pull canonical fields out of one provider's payload, compiled at load.
+
+    `parse_date(raw, local-time shift)` gives a target date ordinal; entry
+    keys outside `consumed` ride along as `extras`.
+    """
 
     provider: str
-    list_path: str
-    target_date_path: str
-    target_date_kind: str  # "iso" | "epoch"
-    fields: dict
+    list_path: tuple
+    target_date_path: tuple
+    parse_date: Callable
+    fields: dict         # canonical field name -> FieldMap
+    consumed: frozenset
+
+
+_DATE_PARSERS = {  # (raw target date, local-time shift) -> date ordinal
+    "iso": lambda raw, shift: dt.date.fromisoformat(str(raw)[:10]).toordinal(),
+    "epoch": lambda raw, shift: (dt.datetime.fromtimestamp(float(raw), tz=dt.timezone.utc)
+                                 + shift).date().toordinal(),
+}
+# what skips one payload entry with a warning
+_ENTRY_ERRORS = (ProviderSchemaError, RangeError, ValueError, TypeError, OverflowError)
 
 
 def _mapping_from_dict(doc: dict) -> ProviderMapping:
     if doc.get("format_version") != MAPPING_FORMAT_VERSION:
         raise ProviderSchemaError(
             f"mapping format_version {doc.get('format_version')!r} unsupported")
-    fields = {
-        name: FieldMap(path=spec["path"], unit=spec["unit"],
-                       optional=bool(spec.get("optional", False)))
-        for name, spec in doc["fields"].items()
-    }
-    return ProviderMapping(
-        provider=doc["provider"],
-        list_path=doc["list_path"],
-        target_date_path=doc["target_date"]["path"],
-        target_date_kind=doc["target_date"]["kind"],
-        fields=fields,
-    )
+    kind, unknown = doc["target_date"]["kind"], set(doc["fields"]) - set(FORECAST_FIELDS)
+    if doc["provider"] not in PROVIDERS or kind not in _DATE_PARSERS or unknown:
+        raise ProviderSchemaError(f"mapping has an unknown provider, date kind or field: "
+                                  f"{doc['provider']!r}, {kind!r}, {sorted(unknown)}")
+    fields = {name: FieldMap(tuple(spec["path"].split(".")),
+                             units.converter(units.FIELD_QUANTITY[name], spec["unit"]),
+                             bool(spec.get("optional", False)))
+              for name, spec in doc["fields"].items()}
+    date_keys = tuple(doc["target_date"]["path"].split("."))
+    return ProviderMapping(doc["provider"], tuple(doc["list_path"].split(".")), date_keys,
+                           _DATE_PARSERS[kind], fields,
+                           frozenset([date_keys[0], *(fm.keys[0] for fm in fields.values())]))
 
 
 def load_provider_mapping(provider: str, path=None) -> ProviderMapping:
@@ -108,9 +127,6 @@ class ForecastCache:
 
     def path(self, provider: str, issue_date: dt.date) -> Path:
         return self.root / provider.lower() / f"{issue_date.isoformat()}.json"
-
-    def has(self, provider: str, issue_date: dt.date) -> bool:
-        return self.path(provider, issue_date).is_file()
 
     def read(self, provider: str, issue_date: dt.date) -> str:
         p = self.path(provider, issue_date)
@@ -138,37 +154,25 @@ class ForecastCache:
         return p
 
 
-def _walk(entry: dict, dotted: str):
-    node = entry
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
+def _walk(node, keys):
+    """The value at `keys` under `node`, None where the path breaks."""
+    for key in keys:
+        if not isinstance(node, dict):
             return None
-        node = node[part]
+        node = node.get(key)
     return node
 
 
-def _entry_target_date(entry, mapping, tz_offset_hours):
-    raw = _walk(entry, mapping.target_date_path)
-    if raw is None:
-        raise ProviderSchemaError(f"entry lacks target date at {mapping.target_date_path!r}")
-    if mapping.target_date_kind == "iso":
-        return dt.date.fromisoformat(str(raw)[:10])
-    if mapping.target_date_kind == "epoch":
-        stamp = dt.datetime.fromtimestamp(float(raw), tz=dt.timezone.utc)
-        return (stamp + dt.timedelta(hours=tz_offset_hours)).date()
-    raise ProviderSchemaError(f"unknown target date kind {mapping.target_date_kind!r}")
-
-
 def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
-                      tz_offset_hours: float = 0.0) -> list:
-    """Turn one raw response body into canonical ForecastRecords.
+                      tz_offset_hours: float = 0.0) -> ForecastTable:
+    """Turn one raw response body into a ForecastTable of canonical records.
 
-    A body that is not JSON (a truncated cache file) or has no entry list
-    raises ProviderSchemaError naming the provider and issue date.
-    Entries missing a required field (or failing record invariants) are
-    skipped with a warning rather than failing the whole payload; entries
-    whose derived horizon falls outside 0..MAX_HORIZON are dropped
-    silently (providers may include the previous local day).
+    A body that is not JSON or has no entry list raises ProviderSchemaError
+    naming the provider and issue date. Entries whose horizon falls outside
+    0..MAX_HORIZON are dropped silently (providers may include the previous
+    local day); any other entry a ForecastRecord would reject, or whose
+    value is not a number a float holds, is skipped with a warning.
+    Unmapped entry keys are kept as `extras` JSON text.
     """
     try:
         doc = json.loads(body)
@@ -178,54 +182,77 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
     entries = _walk(doc, mapping.list_path)
     if not isinstance(entries, list):
         raise ProviderSchemaError(
-            f"payload has no list at {mapping.list_path!r} "
+            f"payload has no list at {'.'.join(mapping.list_path)!r} "
             f"({mapping.provider} issued {issue_date})")
-    consumed = {fm.path.split(".")[0] for fm in mapping.fields.values()}
-    consumed.add(mapping.target_date_path.split(".")[0])
-
-    records = []
+    shift, issued = dt.timedelta(hours=tz_offset_hours), issue_date.toordinal()
+    target, extras, columns = [], [], {name: [] for name in FORECAST_FIELDS}
     for entry in entries:
         try:
-            target = _entry_target_date(entry, mapping, tz_offset_hours)
-            horizon = (target - issue_date).days
-            if not 0 <= horizon <= MAX_HORIZON:
+            raw = _walk(entry, mapping.target_date_path)
+            if raw is None:
+                raise ProviderSchemaError(
+                    f"entry lacks target date at {'.'.join(mapping.target_date_path)!r}")
+            day = mapping.parse_date(raw, shift)
+            if not 0 <= day - issued <= MAX_HORIZON:
                 continue
             values = {}
             for name, fm in mapping.fields.items():
-                raw = _walk(entry, fm.path)
-                if raw is None:
-                    if fm.optional:
-                        values[name] = None
-                        continue
+                raw = _walk(entry, fm.keys)
+                if raw is None and not fm.optional:
                     raise ProviderSchemaError(
-                        f"{mapping.provider} {issue_date}->{target}: missing {fm.path!r}")
-                values[name] = units.convert_field(name, float(raw), fm.unit)
-            extras = {k: v for k, v in entry.items() if k not in consumed}
-            records.append(ForecastRecord(
-                provider=mapping.provider, target_date=target,
-                issue_date=issue_date, extras=extras, **values))
-        except (ProviderSchemaError, RangeError, ValueError, TypeError) as exc:
-            log.warning("skipping %s entry issued %s: %s",
-                        mapping.provider, issue_date, exc)
-    return records
+                        f"{mapping.provider} {issue_date}->{dt.date.fromordinal(day)}: "
+                        f"missing {'.'.join(fm.keys)!r}")
+                values[name] = None if raw is None else fm.convert(float(raw))
+            check_forecast_values(**values)
+        except _ENTRY_ERRORS as exc:
+            log.warning("skipping %s entry issued %s: %s", mapping.provider, issue_date, exc)
+            continue
+        target.append(day)
+        for name, column in columns.items():
+            column.append(values.get(name))
+        extras.append(json.dumps({k: v for k, v in entry.items() if k not in mapping.consumed},
+                                 sort_keys=True))
+    x = np.array(list(columns.values()), dtype=np.float64)   # absent (None) -> NaN
+    held = ~np.isnan(x)   # a kept value is finite, so NaN only marks an absent one
+    return ForecastTable(np.full(len(target), PROVIDERS.index(mapping.provider)),
+                         np.array(target, dtype=np.int64), np.full(len(target), issued),
+                         dict(zip(FORECAST_FIELDS, np.where(held, x, 0.0))),
+                         dict(zip(FORECAST_FIELDS, held)),
+                         np.array(extras, dtype=object), extras_text=True)
+
+
+_STORE_LINE = ('{"extras": %s, "issue_date": "%s", "precip": %s, "provider": "%s", '
+               '"rh_avg": %s, "target_date": "%s", "temp_max": %s, "temp_min": %s, '
+               '"wind_avg": %s}\n')
+_NAME_RANK = np.argsort(np.argsort(PROVIDERS))   # provider code -> place in name order
 
 
 def records_to_jsonl(records) -> str:
-    """Serialize forecast records as the canonical one-object-per-line store."""
-    lines = []
-    for r in sorted(records, key=lambda r: (r.provider, r.target_date, r.issue_date)):
-        lines.append(json.dumps({
-            "provider": r.provider,
-            "target_date": r.target_date.isoformat(),
-            "issue_date": r.issue_date.isoformat(),
-            "temp_max": r.temp_max,
-            "temp_min": r.temp_min,
-            "rh_avg": r.rh_avg,
-            "wind_avg": r.wind_avg,
-            "precip": r.precip,
-            "extras": r.extras,
-        }, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    """Serialize forecasts (a ForecastTable or records) as the canonical store.
+
+    One line per record, sorted by (provider, target date, issue date): the
+    text `json.dumps(record, sort_keys=True)` gives, formatted from the
+    columns a bounded chunk at a time (`%s` of a float is its repr, as in JSON).
+    """
+    table = as_table(records)
+    days, at = np.unique(np.concatenate([table.target, table.issue]), return_inverse=True)
+    iso = np.array([dt.date.fromordinal(d).isoformat() for d in days.tolist()], dtype=object)
+    target, issue = np.split(iso[at], 2)
+    names = np.array(PROVIDERS, dtype=object)[table.provider]
+    extras = table.sources if table.extras_text else np.array(
+        [json.dumps(r.extras, sort_keys=True) for r in table], dtype=object)
+    order = np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
+    out = io.StringIO()
+    # whole-store columns of text would raise the peak RSS; 4,096 lines at a time do not
+    for rows in np.split(order, range(4096, len(order), 4096)):
+        x = {}
+        for name in FORECAST_FIELDS:
+            column = x[name] = table.values[name][rows].astype(object)
+            column[~table.present[name][rows]] = "null"
+        out.write("".join([_STORE_LINE % line for line in zip(
+            extras[rows], issue[rows], x["precip"], names[rows], x["rh_avg"], target[rows],
+            x["temp_max"], x["temp_min"], x["wind_avg"])]))
+    return out.getvalue() or "\n"
 
 
 def records_from_jsonl(text: str) -> ForecastTable:
@@ -321,11 +348,12 @@ def _fetch_one(provider, site, issue_date, credentials, cache, http_get):
 def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
                     credentials: str | None = None, *,
                     cache_dir, offline: bool = False, http_get=None,
-                    tz_offset_hours: float | None = None) -> list:
-    """Forecast records covering every target date in `date_range` (inclusive).
+                    tz_offset_hours: float | None = None) -> ForecastTable:
+    """Forecasts covering every target date in `date_range` (inclusive), as one table.
 
-    For each target date you get up to ``MAX_HORIZON + 1`` records (d0 up
-    to d15) depending on what the provider supplied. Each issue date's
+    For each target date you get up to ``MAX_HORIZON + 1`` rows (d0 up
+    to d15) depending on what the provider supplied, sorted by (target
+    date, horizon) and otherwise in payload order. Each issue date's
     payload is replayed from the cache when it is there; otherwise it is
     skipped in offline mode, and in online mode fetched and cached
     verbatim before normalization. Offline, CacheMiss is raised only when
@@ -351,10 +379,12 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     bodies = {}
     for i in range((end - first_issue).days + 1):
         issued = first_issue + dt.timedelta(days=i)
-        if cache.has(provider, issued):
+        try:
             bodies[issued] = cache.read(provider, issued)
-        elif not offline:
-            bodies[issued] = _fetch_one(provider, site, issued, credentials, cache, http_get)
+        except CacheMiss:
+            if not offline:
+                bodies[issued] = _fetch_one(provider, site, issued, credentials, cache,
+                                            http_get)
     if not bodies:
         raise CacheMiss(
             f"offline mode: no cached {provider} payloads issued "
@@ -362,8 +392,7 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     # Every payload is read before any is normalized: interleaving the two
     # fragmented the heap and raised the peak RSS of a later `evaluate` in
     # the same process by about 8 MB (1,460 synthetic days).
-    records = [rec for issued, body in bodies.items()
-               for rec in normalize_payload(body, issued, mapping, tz_offset_hours)
-               if start <= rec.target_date <= end]
-    records.sort(key=lambda r: (r.target_date, r.horizon))
-    return records
+    table = ForecastTable.concat([normalize_payload(body, issued, mapping, tz_offset_hours)
+                                  for issued, body in bodies.items()])
+    rows = np.flatnonzero((table.target >= start.toordinal()) & (table.target <= end.toordinal()))
+    return table.take(rows[np.lexsort((table.horizon[rows], table.target[rows]))])

@@ -141,21 +141,27 @@ class ForecastRecord:
             raise RangeError(
                 f"horizon {self.horizon} (issued {self.issue_date}, target "
                 f"{self.target_date}) outside 0..{MAX_HORIZON}")
-        _require_range("temp_max", self.temp_max)
-        _require_range("temp_min", self.temp_min)
-        if self.temp_min > self.temp_max:
-            raise RangeError(f"temp_min={self.temp_min} > temp_max={self.temp_max}")
-        if self.rh_avg is not None:
-            _require_range("rh_avg", self.rh_avg, 0.0, 100.0)
-        if self.wind_avg is not None:
-            _require_range("wind_avg", self.wind_avg, 0.0)
-        if self.precip is not None:
-            _require_range("precip", self.precip, 0.0)
+        check_forecast_values(self.temp_max, self.temp_min, self.rh_avg, self.wind_avg,
+                              self.precip)
 
     @property
     def horizon(self) -> int:
         """Forecast age in whole days, by date arithmetic."""
         return (self.target_date - self.issue_date).days
+
+
+def check_forecast_values(temp_max, temp_min, rh_avg=None, wind_avg=None, precip=None):
+    """Raise the RangeError a ForecastRecord with these field values raises, if any."""
+    _require_range("temp_max", temp_max)
+    _require_range("temp_min", temp_min)
+    if temp_min > temp_max:
+        raise RangeError(f"temp_min={temp_min} > temp_max={temp_max}")
+    if rh_avg is not None:
+        _require_range("rh_avg", rh_avg, 0.0, 100.0)
+    if wind_avg is not None:
+        _require_range("wind_avg", wind_avg, 0.0)
+    if precip is not None:
+        _require_range("precip", precip, 0.0)
 
 
 @dataclass(frozen=True)
@@ -197,12 +203,14 @@ class ForecastTable:
     the rows that carry it. An absent value is stored as 0.0 behind its
     mask, never as NaN, so a stored NaN still fails the checks.
     `sources[i]` is what the row view `table[i]` (a ForecastRecord) is
-    made from: the record the table was built of, or its store line,
-    whose `extras` are decoded only then. Views share one `date` per
+    made from: the record the table was built of, its store line, or
+    (`extras_text`, an ingested payload's rows) its `extras` as
+    sorted-key JSON text, decoded only then. Views share one `date` per
     ordinal.
     """
 
-    def __init__(self, provider, target, issue, values, present, sources, dates=None):
+    def __init__(self, provider, target, issue, values, present, sources, dates=None,
+                 extras_text=False):
         self.provider = provider
         self.target = target
         self.issue = issue
@@ -210,6 +218,7 @@ class ForecastTable:
         self.values = values
         self.present = present
         self.sources = sources
+        self.extras_text = extras_text
         self._dates = {} if dates is None else dates
         self._cells = None
 
@@ -267,6 +276,20 @@ class ForecastTable:
                               for name in FORECAST_FIELDS},
                              records, range(len(records)))
 
+    @classmethod
+    def concat(cls, tables) -> "ForecastTable":
+        """The rows of `tables`, one table after another; all must hold one kind of source."""
+        if not tables:
+            return cls.from_records([])
+        if len({t.extras_text for t in tables}) > 1:
+            raise ValueError("cannot join tables of extras text and of store lines or records")
+        def cat(pick):
+            return np.concatenate([pick(t) for t in tables])
+        return cls(cat(lambda t: t.provider), cat(lambda t: t.target), cat(lambda t: t.issue),
+                   {name: cat(lambda t: t.values[name]) for name in FORECAST_FIELDS},
+                   {name: cat(lambda t: t.present[name]) for name in FORECAST_FIELDS},
+                   cat(lambda t: t.sources), extras_text=tables[0].extras_text)
+
     def __len__(self) -> int:
         return len(self.target)
 
@@ -274,9 +297,11 @@ class ForecastTable:
         source = self.sources[i]
         if isinstance(source, ForecastRecord):
             return source
+        extras = json.loads(source)
         return ForecastRecord(
             provider=PROVIDERS[self.provider[i]], target_date=self.date(self.target[i]),
-            issue_date=self.date(self.issue[i]), extras=json.loads(source).get("extras", {}),
+            issue_date=self.date(self.issue[i]),
+            extras=extras if self.extras_text else extras.get("extras", {}),
             **{name: float(self.values[name][i]) if self.present[name][i] else None
                for name in FORECAST_FIELDS})
 
@@ -317,7 +342,7 @@ class ForecastTable:
         return ForecastTable(self.provider[rows], self.target[rows], self.issue[rows],
                              {name: v[rows] for name, v in self.values.items()},
                              {name: p[rows] for name, p in self.present.items()},
-                             self.sources[rows], self._dates)
+                             self.sources[rows], self._dates, self.extras_text)
 
     def cell(self, provider: str, horizon: int) -> np.ndarray:
         """Rows of one (provider, horizon) cell by ascending target date, one per date.
@@ -353,18 +378,6 @@ def as_table(forecasts) -> ForecastTable:
     if isinstance(forecasts, ForecastTable):
         return forecasts
     return ForecastTable.from_records(forecasts)
-
-
-def index_forecasts(forecasts) -> dict:
-    """Group forecast records in one pass: {(provider, horizon): {target_date: record}}.
-
-    When a key repeats, the first record in input order wins, as in
-    :meth:`ForecastTable.cell`.
-    """
-    index = {}
-    for fc in forecasts:
-        index.setdefault((fc.provider, fc.horizon), {}).setdefault(fc.target_date, fc)
-    return index
 
 
 def join_dates(table: ForecastTable, ordinals, horizon, providers):

@@ -81,13 +81,17 @@ def resolve_unit(unit: str) -> str:
     return _ALIASES[key]
 
 
-def convert(quantity: str, value: float, unit: str) -> float:
-    """Convert `value` declared in `unit` to the canonical unit of `quantity`."""
-    resolved = resolve_unit(unit)
-    fn = _CONVERSIONS.get((quantity, resolved))
+def converter(quantity: str, unit: str):
+    """The function taking `quantity` values in `unit` to its canonical unit."""
+    fn = _CONVERSIONS.get((quantity, resolve_unit(unit)))
     if fn is None:
         raise UnitError(f"unit {unit!r} is not a {quantity} unit")
-    return fn(value)
+    return fn
+
+
+def convert(quantity: str, value: float, unit: str) -> float:
+    """Convert `value` declared in `unit` to the canonical unit of `quantity`."""
+    return converter(quantity, unit)(value)
 
 
 def convert_field(field_name: str, value: float, unit: str) -> float:

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import etoforge
 from etoforge import regressor
 from etoforge.cli import main
 from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
@@ -141,6 +146,30 @@ def test_ingest_forecast_reports_horizon_range(tmp_path, synth, capsys):
     assert main(["ingest", "forecast", "--config", str(cfg), "--offline"]) == 0
     assert ("VC: 624 forecast records across 40 target dates, "
             "15-16 horizons per date") in capsys.readouterr().out
+
+
+def test_oversized_numbers_in_cached_payloads_are_skipped(tmp_path, synth):
+    site, observations, forecasts = synth
+    _write_inputs(tmp_path, observations[:20], forecasts["VC"][:320] + forecasts["OWM"][:320])
+    issued = observations[5].date.isoformat()
+    for provider, key, value in (("vc", "tempmax", "1" + "0" * 400), ("owm", "dt", "1e999")):
+        path = tmp_path / "cache" / provider / f"{issued}.json"
+        doc = json.loads(path.read_text())
+        doc["days" if provider == "vc" else "list"][0][key] = "OVERSIZED"
+        path.write_text(json.dumps(doc).replace('"OVERSIZED"', value))
+    cfg = _config(tmp_path, tmp_path / "out", site, start_date=observations[0].date,
+                  end_date=observations[19].date)
+    env = {**os.environ, "PYTHONPATH": str(Path(etoforge.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "etoforge.cli", "ingest", "forecast",
+                           "--offline", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"skipping VC entry issued {issued}: int too large to convert to float" \
+        in done.stderr
+    assert f"skipping OWM entry issued {issued}: " in done.stderr
+    assert "VC: 319 forecast records" in done.stdout and "OWM: 319 forecast records" in done.stdout
+    assert len((tmp_path / "out" / "forecasts.jsonl").read_text().splitlines()) == 638
 
 
 def test_ingest_forecast_empty_cache(tmp_path, synth, capsys):

@@ -4,6 +4,8 @@ import datetime as dt
 import gc
 import io
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from etoforge.errors import (AuthError, CacheMiss, DuplicateDate,
 from etoforge.synthetic import (synthetic_forecasts, synthetic_site,
                                 write_synthetic_cache)
 from etoforge.weather import (AlignedPair, DailyObservation, ForecastCache,
-                              ForecastRecord, SiteMetadata, WsSchema,
+                              ForecastRecord, ForecastTable, SiteMetadata, WsSchema,
                               align_horizons, fetch_forecasts,
                               load_provider_mapping, load_ws_schema,
                               normalize_payload, parse_ws_csv,
@@ -417,6 +419,112 @@ def test_unreadable_payload_names_provider_and_issue_date(body):
         normalize_payload(body, D(2022, 6, 1), load_provider_mapping("VC"))
 
 
+_ABSENT = object()
+
+
+def _vc_day(day, **changes):
+    """One VC payload entry; a field set to _ABSENT is left out."""
+    entry = {"datetime": day.isoformat(), "tempmax": 27.5, "tempmin": 16.0,
+             "humidity": 58.0, "windspeed": 14.4, "precip": 0.5, "uvindex": 8}
+    entry.update(changes)
+    return {k: v for k, v in entry.items() if v is not _ABSENT}
+
+
+def test_skip_path_keeps_the_good_rows_and_explains_each_bad_one(caplog):
+    issued = D(2022, 6, 1)
+    day = [issued + dt.timedelta(days=i) for i in range(18)]
+    entries = [
+        _vc_day(day[0]),
+        _vc_day(day[1], tempmax=_ABSENT),              # a required field missing
+        _vc_day(day[2], humidity="hot"),               # a text value
+        _vc_day(day[3], windspeed=float("nan")),       # a JSON NaN
+        _vc_day(day[4], uvindex="kept", precip=_ABSENT),
+        _vc_day(day[5], humidity=120),                 # humidity above 100
+        _vc_day(day[6], tempmin=30.0),                 # temp_min > temp_max
+        _vc_day(day[7], datetime="2022-06-31"),        # a date that does not parse
+        _vc_day(day[16]),                              # horizon 16: dropped silently
+        _vc_day(day[8], humidity=58, precip=1, tempmax="29.5"),  # integers, numeric text
+    ]
+    with caplog.at_level("WARNING"):
+        rows = list(normalize_payload(json.dumps({"days": entries}), issued,
+                                      load_provider_mapping("VC")))
+    assert [(r.target_date, r.temp_max, r.rh_avg, r.precip, r.extras) for r in rows] == [
+        (day[0], 27.5, 58.0, 0.5, {"uvindex": 8}),
+        (day[4], 27.5, 58.0, None, {"uvindex": "kept"}),
+        (day[8], 29.5, 58.0, 1.0, {"uvindex": 8})]
+    assert rows[0].wind_avg == 14.4 / 3.6
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping VC entry issued 2022-06-01: {reason}" for reason in (
+            "VC 2022-06-01->2022-06-02: missing 'tempmax'",
+            "could not convert string to float: 'hot'",
+            "wind_avg=nan is not a finite number",
+            "rh_avg=120.0 above 100.0",
+            "temp_min=30.0 > temp_max=27.5",
+            "day is out of range for month")]
+
+
+_OWM_NOON = dt.datetime(2022, 6, 2, 12, tzinfo=dt.timezone.utc).timestamp()
+
+
+_MAPS = Path(units.__file__).parent.parent / "provider_maps"
+
+
+@pytest.mark.parametrize("provider, temp_unit, bad_entry", [
+    ("VC", "degC", '{"datetime": "2022-06-02", "tempmax": 1%s, "tempmin": 16.0, '
+                   '"humidity": 58.0, "windspeed": 14.4}' % ("0" * 400)),
+    ("VC", "degC", '{"datetime": "2022-06-02", "tempmax": 27.5, "tempmin": 16.0, '
+                   '"humidity": 58.0, "windspeed": 14.4, "precip": 1%s}' % ("0" * 400)),
+    ("VC", "degF", '{"datetime": "2022-06-02", "tempmax": 1e308, "tempmin": 60.8, '
+                   '"humidity": 58.0, "windspeed": 14.4}'),
+    ("OWM", "degC", '{"dt": 1e20, "temp": {"min": 16.0, "max": 27.0}, "humidity": 60.0, '
+                    '"speed": 3.0}'),
+    ("OWM", "degC", '{"dt": 1e999, "temp": {"min": 16.0, "max": 27.0}, "humidity": 60.0, '
+                    '"speed": 3.0}'),
+], ids=["vc-integer-beyond-float", "vc-optional-integer-beyond-float",
+        "vc-degf-conversion-overflows", "owm-dt-1e20", "owm-dt-1e999"])
+def test_oversized_number_skips_the_entry(provider, temp_unit, bad_entry, tmp_path, caplog):
+    doc = json.loads((_MAPS / f"{provider.lower()}.json").read_text())
+    for name in ("temp_max", "temp_min"):
+        doc["fields"][name]["unit"] = temp_unit
+    (tmp_path / "map.json").write_text(json.dumps(doc))
+    good = (json.dumps(_vc_day(D(2022, 6, 1))) if provider == "VC" else json.dumps(
+        {"dt": _OWM_NOON, "temp": {"min": 16.0, "max": 27.0}, "humidity": 60.0, "speed": 3.0}))
+    body = '{"%s": [%s, %s]}' % ("days" if provider == "VC" else "list", good, bad_entry)
+    with caplog.at_level("WARNING"), warnings.catch_warnings():
+        warnings.simplefilter("error")   # an overflow warning must not stand in for the skip
+        rows = normalize_payload(body, D(2022, 6, 1),
+                                 load_provider_mapping(provider, tmp_path / "map.json"))
+    assert len(rows) == 1
+    assert [r.getMessage().startswith(f"skipping {provider} entry issued 2022-06-01: ")
+            for r in caplog.records] == [True]
+
+
+def test_concat_keeps_one_kind_of_source():
+    ingested = normalize_payload(json.dumps({"days": [_vc_day(D(2022, 6, 1))]}),
+                                 D(2022, 6, 1), load_provider_mapping("VC"))
+    joined = ForecastTable.concat([ingested, ingested])
+    assert [r.extras for r in joined] == [{"uvindex": 8}] * 2
+    with pytest.raises(ValueError):
+        ForecastTable.concat([ingested, records_from_jsonl(records_to_jsonl(ingested))])
+
+
+def test_mapping_is_compiled_at_load():
+    from etoforge.weather.providers import _mapping_from_dict
+
+    doc = json.loads((_MAPS / "vc.json").read_text())
+    mapping = _mapping_from_dict(doc)
+    assert mapping.fields["temp_max"].keys == ("tempmax",)
+    assert mapping.fields["wind_avg"].convert(36.0) == 10.0
+    assert mapping.consumed == {"datetime", "tempmax", "tempmin", "humidity", "windspeed",
+                                "precip"}
+    with pytest.raises(UnitError):
+        _mapping_from_dict({**doc, "fields": {"temp_max": {"path": "t", "unit": "furlongs"}}})
+    with pytest.raises(ProviderSchemaError):
+        _mapping_from_dict({**doc, "target_date": {"path": "datetime", "kind": "julian"}})
+    with pytest.raises(ProviderSchemaError):
+        _mapping_from_dict({**doc, "fields": {"sr_avg": {"path": "sr", "unit": "W/m2"}}})
+
+
 def test_owm_epoch_dates_respect_tz_offset():
     stamp = dt.datetime(2022, 6, 1, 23, 30, tzinfo=dt.timezone.utc).timestamp()
     body = json.dumps({"list": [{
@@ -545,6 +653,18 @@ def test_store_load_adds_fewer_gc_objects_than_records(synth):
     assert len(table) == len(forecasts["VC"]) and added < len(table)
 
 
+def test_ingest_adds_fewer_gc_objects_than_records(tmp_path, synth):
+    site, observations, forecasts = synth
+    write_synthetic_cache(forecasts["VC"], tmp_path)
+    days = (observations[0].date, observations[-1].date)
+    fetch_forecasts("VC", site, days, cache_dir=tmp_path, offline=True)
+    gc.collect()
+    before = len(gc.get_objects())
+    table = fetch_forecasts("VC", site, days, cache_dir=tmp_path, offline=True)
+    added = len(gc.get_objects()) - before
+    assert len(table) == len(forecasts["VC"]) and added < len(table)
+
+
 def test_store_shares_one_date_object_per_day():
     lines = _store_lines()
     records = records_from_jsonl("\n".join(lines + lines))
@@ -558,5 +678,5 @@ def test_cache_write_is_atomic_no_temp_left(tmp_path):
     cache.write("VC", D(2022, 6, 1), "{}")
     leftovers = [p for p in tmp_path.rglob("*.tmp")]
     assert leftovers == []
-    assert cache.has("VC", D(2022, 6, 1))
+    assert cache.read("VC", D(2022, 6, 1)) == "{}"
 
