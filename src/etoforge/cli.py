@@ -163,6 +163,8 @@ def cmd_train(cfg, target: str) -> int:
 
 
 def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
+    if source == "ws" and horizon is not None:
+        raise ConfigError("--horizon applies to forecast sources only, not --source ws")
     estimator = estimator.upper()
     if estimator == "ET0_ANN":
         bundle = pipelines.ModelBundle(et0_model=_load_model(cfg, "ET0"))

@@ -186,6 +186,8 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
                           f"got {cfg.humidity_mode!r}")
     if not 0.0 < cfg.holdout_fraction < 1.0:
         raise ConfigError("holdout_fraction must be in (0, 1)")
+    if cfg.tz_offset_hours is not None and not -24.0 <= cfg.tz_offset_hours <= 24.0:
+        raise ConfigError(f"tz_offset_hours={cfg.tz_offset_hours} outside +/- 24 hours")
     try:
         cfg.site()
         cfg.train_config()

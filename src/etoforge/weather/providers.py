@@ -87,6 +87,8 @@ _DATE_PARSERS = {  # (raw target date, local-time shift) -> date ordinal
 }
 # what skips one payload entry with a warning
 _ENTRY_ERRORS = (ProviderSchemaError, RangeError, ValueError, TypeError, OverflowError)
+# json.dumps(x, sort_keys=True) without building an encoder per call
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _mapping_from_dict(doc: dict) -> ProviderMapping:
@@ -210,8 +212,7 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
         target.append(day)
         for name, column in columns.items():
             column.append(values.get(name))
-        extras.append(json.dumps({k: v for k, v in entry.items() if k not in mapping.consumed},
-                                 sort_keys=True))
+        extras.append(_sorted_json({k: v for k, v in entry.items() if k not in mapping.consumed}))
     x = np.array(list(columns.values()), dtype=np.float64)   # absent (None) -> NaN
     held = ~np.isnan(x)   # a kept value is finite, so NaN only marks an absent one
     return ForecastTable(np.full(len(target), PROVIDERS.index(mapping.provider)),
@@ -240,7 +241,7 @@ def records_to_jsonl(records) -> str:
     target, issue = np.split(iso[at], 2)
     names = np.array(PROVIDERS, dtype=object)[table.provider]
     extras = table.sources if table.extras_text else np.array(
-        [json.dumps(r.extras, sort_keys=True) for r in table], dtype=object)
+        [_sorted_json(r.extras) for r in table], dtype=object)
     order = np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
     out = io.StringIO()
     # whole-store columns of text would raise the peak RSS; 4,096 lines at a time do not

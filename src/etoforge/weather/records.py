@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import MissingField, RangeError
+from . import units
 
 PROVIDERS = ("VC", "OWM")
 MAX_HORIZON = 15
@@ -51,6 +52,8 @@ class SiteMetadata:
     def __post_init__(self):
         if not -90.0 <= self.latitude <= 90.0:
             raise RangeError(f"latitude={self.latitude} outside +/- 90 degrees")
+        if not -180.0 <= self.longitude <= 180.0:
+            raise RangeError(f"longitude={self.longitude} outside +/- 180 degrees")
         if not math.isfinite(self.elevation):
             raise RangeError("elevation must be finite")
         if not self.wind_sensor_height > 0.0:
@@ -66,12 +69,13 @@ class SiteMetadata:
         return self.longitude / 15.0
 
 
-def _require_range(name, value, low=None, high=None):
+def _require_range(name, value):
     if value is None or not math.isfinite(value):
         raise RangeError(f"{name}={value} is not a finite number")
-    if low is not None and value < low:
+    low, high = units.RANGE[units.FIELD_QUANTITY[name]]
+    if value < low:
         raise RangeError(f"{name}={value} below {low}")
-    if high is not None and value > high:
+    if value > high:
         raise RangeError(f"{name}={value} above {high}")
 
 
@@ -101,18 +105,18 @@ class DailyObservation:
                 f"temperature ordering violated: min={self.temp_min} "
                 f"avg={self.temp_avg} max={self.temp_max}")
         for name in ("rh_max", "rh_min", "rh_avg"):
-            _require_range(name, getattr(self, name), 0.0, 100.0)
+            _require_range(name, getattr(self, name))
         if not self.rh_min <= self.rh_avg <= self.rh_max:
             raise RangeError(
                 f"humidity ordering violated: min={self.rh_min} "
                 f"avg={self.rh_avg} max={self.rh_max}")
-        _require_range("wind_avg", self.wind_avg, 0.0)
-        _require_range("sr_avg", self.sr_avg, 0.0)
-        _require_range("precip", self.precip, 0.0)
+        _require_range("wind_avg", self.wind_avg)
+        _require_range("sr_avg", self.sr_avg)
+        _require_range("precip", self.precip)
         if self.sr_max is not None:
-            _require_range("sr_max", self.sr_max, 0.0)
+            _require_range("sr_max", self.sr_max)
         if self.pressure_avg is not None:
-            _require_range("pressure_avg", self.pressure_avg, 0.0)
+            _require_range("pressure_avg", self.pressure_avg)
 
 
 @dataclass(frozen=True)
@@ -157,11 +161,11 @@ def check_forecast_values(temp_max, temp_min, rh_avg=None, wind_avg=None, precip
     if temp_min > temp_max:
         raise RangeError(f"temp_min={temp_min} > temp_max={temp_max}")
     if rh_avg is not None:
-        _require_range("rh_avg", rh_avg, 0.0, 100.0)
+        _require_range("rh_avg", rh_avg)
     if wind_avg is not None:
-        _require_range("wind_avg", wind_avg, 0.0)
+        _require_range("wind_avg", wind_avg)
     if precip is not None:
-        _require_range("precip", precip, 0.0)
+        _require_range("precip", precip)
 
 
 @dataclass(frozen=True)
@@ -187,8 +191,6 @@ class AlignResult(NamedTuple):
 
 
 FORECAST_FIELDS = ("temp_max", "temp_min", "rh_avg", "wind_avg", "precip")
-_BOUNDS = {"temp_max": (-math.inf, math.inf), "temp_min": (-math.inf, math.inf),
-           "rh_avg": (0.0, 100.0), "wind_avg": (0.0, math.inf), "precip": (0.0, math.inf)}
 _FLOAT_OR_ABSENT = {float, type(None)}
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _NO_ROWS = np.zeros(0, dtype=np.intp)
@@ -247,7 +249,7 @@ class ForecastTable:
             present[name] = column != None  # noqa: E711 - element-wise
             column[~present[name]] = 0.0
             x = values[name] = column.astype(np.float64)
-            low, high = _BOUNDS[name]
+            low, high = units.RANGE[units.FIELD_QUANTITY[name]]
             bad |= present[name] & ~(np.isfinite(x) & (x >= low) & (x <= high))
         bad |= ~present["temp_max"] | ~present["temp_min"]
         bad |= values["temp_min"] > values["temp_max"]

@@ -84,10 +84,10 @@ def _open_text(stream):
 def parse_ws_csv(stream, schema: WsSchema) -> list:
     """Load daily observations from a CSV stream, converting to canonical units.
 
-    Rows come back sorted ascending by date. Raises MissingColumn when a
-    mapped header is absent, UnitError for undeclared or unknown units,
-    RangeError (with the 1-based data row number) for invariant
-    violations, and DuplicateDate for repeated dates.
+    Rows come back sorted ascending by date. Before any row is read: MissingColumn
+    for an absent mapped header, then UnitError for an undeclared, unknown or
+    wrong-quantity unit. Then RangeError (with the 1-based data row number) for
+    invariant violations, DuplicateDate for repeated dates.
     """
     reader = csv.DictReader(_open_text(stream))
     headers = reader.fieldnames or []
@@ -108,10 +108,12 @@ def parse_ws_csv(stream, schema: WsSchema) -> list:
         elif canonical in schema.columns:
             raise MissingColumn(f"column {header!r} (for {canonical}) not in file header")
 
+    convert = {}
     for canonical, header in resolved.items():
         if header not in schema.units:
             raise UnitError(f"no unit declared for column {header!r}")
-        units.resolve_unit(schema.units[header])
+        convert[canonical] = units.converter(units.FIELD_QUANTITY[canonical],
+                                             schema.units[header])
 
     observations = []
     seen = {}
@@ -136,7 +138,7 @@ def parse_ws_csv(stream, schema: WsSchema) -> list:
                 raw = float(cell)
             except ValueError:
                 raise RangeError(f"{canonical}={cell!r} is not a number", row=rownum)
-            values[canonical] = units.convert_field(canonical, raw, schema.units[header])
+            values[canonical] = convert[canonical](raw)
         try:
             observations.append(DailyObservation(date=day, **values))
         except RangeError as exc:

@@ -1,4 +1,4 @@
-"""Unit declarations and conversions into the canonical system.
+"""The canonical system: each quantity's unit, valid range and conversions.
 
 Canonical units: degC, percent, m/s, W/m2, mm, kPa. Converting a value
 already in its canonical unit is an exact identity, so normalization is
@@ -6,6 +6,8 @@ idempotent.
 """
 
 from __future__ import annotations
+
+import math
 
 from ..errors import UnitError
 
@@ -18,6 +20,10 @@ CANONICAL = {
     "precip": "mm",
     "pressure": "kPa",
 }
+
+# quantity -> closed valid range (low, high) in its canonical unit
+RANGE = {"temp": (-math.inf, math.inf), "rh": (0.0, 100.0), "wind": (0.0, math.inf),
+         "sr": (0.0, math.inf), "precip": (0.0, math.inf), "pressure": (0.0, math.inf)}
 
 FIELD_QUANTITY = {
     "temp_max": "temp",
@@ -71,31 +77,14 @@ _ALIASES = {
 }
 
 
-def resolve_unit(unit: str) -> str:
-    """Map a declared unit string to its canonical spelling."""
+def converter(quantity: str, unit: str):
+    """The function taking `quantity` values in `unit` to its canonical unit."""
     if unit is None:
         raise UnitError("no unit declared")
     key = unit.strip().lower()
     if key not in _ALIASES:
         raise UnitError(f"unknown unit {unit!r}")
-    return _ALIASES[key]
-
-
-def converter(quantity: str, unit: str):
-    """The function taking `quantity` values in `unit` to its canonical unit."""
-    fn = _CONVERSIONS.get((quantity, resolve_unit(unit)))
+    fn = _CONVERSIONS.get((quantity, _ALIASES[key]))
     if fn is None:
         raise UnitError(f"unit {unit!r} is not a {quantity} unit")
     return fn
-
-
-def convert(quantity: str, value: float, unit: str) -> float:
-    """Convert `value` declared in `unit` to the canonical unit of `quantity`."""
-    return converter(quantity, unit)(value)
-
-
-def convert_field(field_name: str, value: float, unit: str) -> float:
-    quantity = FIELD_QUANTITY.get(field_name)
-    if quantity is None:
-        raise UnitError(f"field {field_name!r} has no unit quantity")
-    return convert(quantity, value, unit)

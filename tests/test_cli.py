@@ -172,6 +172,20 @@ def test_oversized_numbers_in_cached_payloads_are_skipped(tmp_path, synth):
     assert len((tmp_path / "out" / "forecasts.jsonl").read_text().splitlines()) == 638
 
 
+@pytest.mark.parametrize("setting", ["longitude=nan", "tz_offset_hours=nan", "longitude=1e30",
+                                     "tz_offset_hours=1e20", "longitude=500"])
+def test_bad_site_time_setting_is_usage_error(tmp_path, synth, capsys, setting):
+    site, observations, forecasts = synth
+    _write_inputs(tmp_path, observations[:20], forecasts["VC"][:320])
+    cfg = _config(tmp_path, tmp_path / "out", site, providers="VC",
+                  start_date=observations[0].date, end_date=observations[19].date)
+    assert main(["ingest", "forecast", "--offline", "--config", str(cfg),
+                 "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert setting.partition("=")[0] in err
+
+
 def test_ingest_forecast_empty_cache(tmp_path, synth, capsys):
     site, observations, _ = synth
     _write_inputs(tmp_path, observations[:10], [])
@@ -255,6 +269,13 @@ def test_predict_forecast_source_with_horizon(big_ws):
     assert len(lines) == 1 + 730
     assert all(l.split(",")[1] == "VC" and l.split(",")[2] == "3"
                for l in lines[1:])
+
+
+def test_predict_ws_source_rejects_a_horizon(big_ws, capsys):
+    assert main(["predict", "--config", str(big_ws["cfg"]), "--estimator", "et0_ann",
+                 "--source", "ws", "--horizon", "3"]) == 2
+    assert "--horizon" in capsys.readouterr().err
+    assert not (big_ws["out"] / "predictions_et0_ann_ws_d3.csv").exists()
 
 
 def test_sr_ann_does_not_need_the_hybrid_physics(tmp_path, capsys):

@@ -50,3 +50,33 @@ def test_array_physics_matches_scalar_oracle(days, mode):
             tmax[i], tmin[i], ea, wind[i], solar[i], lat[i], elev[i], int(doy[i]))
         assert math.isclose(result.et0[i], expected, rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(raw[i], inter["et0_raw"], rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _et0(day, solar, mode):
+    tmin, spread, rh_low, rh_share, wind, _, lat, elev, doy = day
+    return fao56.et0_fao56pm(fao56.Et0Inputs(
+        temp_max=tmin + spread, temp_min=tmin, wind_2m=wind, solar_rad=solar,
+        latitude=lat, elevation=elev, day_of_year=doy, humidity_mode=mode,
+        rh_max=rh_low + rh_share * (100.0 - rh_low), rh_min=rh_low, rh_avg=rh_low))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(day=_day, above=st.floats(0.0, 20.0), step=st.floats(0.0, 20.0),
+                  mode=st.sampled_from(fao56.HUMIDITY_MODES))
+def test_et0_non_decreasing_in_shortwave_at_or_above_clear_sky(day, above, step, mode):
+    rso = _et0(day, 0.0, mode).intermediates["rso"]
+    result = _et0(day, np.array([rso + above, rso + above + step]), mode)
+    raw = result.intermediates["et0_raw"]
+    assert raw[1] >= raw[0]
+    assert result.et0[1] >= result.et0[0]
+
+
+def test_et0_can_fall_as_shortwave_rises_below_clear_sky():
+    # FAO-56's net longwave loss scales with 1.35 * Rs/Rso - 0.35, so below Rso it
+    # grows with Rs. With a small Rso (1.75 MJ m-2 day-1, 64.5 N in November) it
+    # grows faster than the absorbed shortwave 0.77 * Rs, and raw ET0 falls.
+    day = (0.0, 8.0, 80.0, 0.0, 2.0, None, math.radians(64.5), 0.0, 317)
+    result = _et0(day, np.array([0.09, 1.73]), "average")
+    assert result.intermediates["rso"][0] == pytest.approx(1.7526, abs=1e-4)
+    raw = result.intermediates["et0_raw"]
+    assert raw[1] < raw[0] - 0.9

@@ -102,23 +102,23 @@ def test_aligned_pair_date_agreement():
 def test_canonical_units_are_identity():
     for field_name, quantity in units.FIELD_QUANTITY.items():
         canonical = units.CANONICAL[quantity]
-        assert units.convert_field(field_name, 12.5, canonical) == 12.5
+        assert units.converter(quantity, canonical)(12.5) == 12.5
 
 
 def test_common_conversions():
-    assert units.convert("temp", 77.0, "degF") == 25.0
-    assert units.convert("temp", 300.65, "K") == pytest.approx(27.5)
-    assert units.convert("wind", 36.0, "km/h") == 10.0
-    assert units.convert("rh", 0.55, "fraction") == pytest.approx(55.0)
-    assert units.convert("precip", 1.0, "in") == 25.4
-    assert units.convert("pressure", 1013.0, "hPa") == 101.3
+    assert units.converter("temp", "degF")(77.0) == 25.0
+    assert units.converter("temp", "K")(300.65) == pytest.approx(27.5)
+    assert units.converter("wind", "km/h")(36.0) == 10.0
+    assert units.converter("rh", "fraction")(0.55) == pytest.approx(55.0)
+    assert units.converter("precip", "in")(1.0) == 25.4
+    assert units.converter("pressure", "hPa")(1013.0) == 101.3
 
 
 def test_unknown_unit_rejected():
     with pytest.raises(UnitError):
-        units.convert("temp", 1.0, "furlongs")
+        units.converter("temp", "furlongs")
     with pytest.raises(UnitError):
-        units.convert("wind", 1.0, "degC")
+        units.converter("wind", "degC")
 
 
 # --- station CSV -----------------------------------------------------------------
@@ -196,6 +196,23 @@ def test_undeclared_and_unknown_units():
     with pytest.raises(UnitError):
         parse_ws_csv(io.BytesIO(csv_text.encode()),
                      WsSchema(units=bad_unit, columns=CUSTOM_COLUMNS))
+
+
+@pytest.mark.parametrize("rows", ["", "2022-06-01,77,59,68,90,40,65,7.2,220,0\n"],
+                         ids=["header-only", "one-row"])
+def test_wrong_quantity_unit_fails_before_any_row(rows):
+    schema = WsSchema(units=dict(CUSTOM_UNITS, wind="degC"), columns=CUSTOM_COLUMNS)
+    with pytest.raises(UnitError, match="unit 'degC' is not a wind unit"):
+        parse_ws_csv(io.BytesIO((CUSTOM_HEADER + rows).encode()), schema)
+
+
+def test_missing_column_is_reported_before_a_missing_unit():
+    no_unit = dict(CUSTOM_UNITS)
+    del no_unit["wind"]
+    schema = WsSchema(units=no_unit, columns=dict(CUSTOM_COLUMNS, rh_avg="Hum"))
+    csv_text = CUSTOM_HEADER + "2022-06-01,77,59,68,90,40,65,7.2,220,0\n"
+    with pytest.raises(MissingColumn, match="'Hum'"):
+        parse_ws_csv(io.BytesIO(csv_text.encode()), schema)
 
 
 def test_duplicate_date_rejected():
