@@ -8,6 +8,7 @@ README; unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,6 +189,9 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
         raise ConfigError("holdout_fraction must be in (0, 1)")
     if cfg.tz_offset_hours is not None and not -24.0 <= cfg.tz_offset_hours <= 24.0:
         raise ConfigError(f"tz_offset_hours={cfg.tz_offset_hours} outside +/- 24 hours")
+    if cfg.forecast_wind_height is not None and not 0.0 < cfg.forecast_wind_height < math.inf:
+        raise ConfigError(f"forecast_wind_height={cfg.forecast_wind_height} "
+                          f"must be finite and > 0")
     try:
         cfg.site()
         cfg.train_config()

@@ -183,30 +183,34 @@ def predict_batch(model: MlpModel, rows) -> np.ndarray:
     return h[:, 0] * model.target_std + model.target_mean
 
 
+def _param_views(flat, layer_sizes):
+    """(weights, biases) as views of one flat buffer that holds every weight, then every bias."""
+    shapes = list(zip(layer_sizes[:-1], layer_sizes[1:])) + [(n,) for n in layer_sizes[1:]]
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    return tuple(views[:len(shapes) // 2]), tuple(views[len(shapes) // 2:])
+
+
 def _init_params(layer_sizes, rng):
-    weights, biases = [], []
-    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        limit = math.sqrt(6.0 / n_in)
-        weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
-        biases.append(np.zeros(n_out, dtype=np.float64))
-    return weights, biases
+    """The flat parameter buffer: uniform weights in layer (draw) order, then zero biases."""
+    drawn = [rng.uniform(-math.sqrt(6.0 / n_in), math.sqrt(6.0 / n_in), size=n_in * n_out)
+             for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])]
+    return np.concatenate(drawn + [np.zeros(sum(layer_sizes[1:]))])
 
 
-def _backprop(weights, biases, activation, x, y):
-    """Mean-squared-error gradients for one scaled batch; returns (loss, dws, dbs)."""
+def _backprop(weights, biases, activation, x, y, dws, dbs):
+    """Mean-squared-error loss of one scaled batch; its gradients go into dws, dbs."""
     out, pre, acts = _forward_scaled(weights, biases, activation, x)
     err = out - y
     n = x.shape[0]
     loss = float(err @ err) / n
     delta = (2.0 / n) * err[:, None]
-    dws = [None] * len(weights)
-    dbs = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        dws[i] = acts[i].T @ delta
-        dbs[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=dws[i])
+        delta.sum(axis=0, out=dbs[i])
         if i > 0:
             delta = (delta @ weights[i].T) * _act_grad(pre[i - 1], activation)
-    return loss, dws, dbs
+    return loss
 
 
 def train(data, arch, cfg: TrainConfig, *, feature_names=None,
@@ -251,7 +255,12 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
     yv = (y[val_idx] - t_mean) / t_std
 
     layer_sizes = (X.shape[1], *hidden, 1)
-    weights, biases = _init_params(layer_sizes, rng)
+    # weights and biases are views of `params`, their gradients views of `grad`,
+    # so each optimizer step is a few whole-buffer statements
+    params = _init_params(layer_sizes, rng)
+    grad = np.zeros_like(params)
+    weights, biases = _param_views(params, layer_sizes)
+    dws, dbs = _param_views(grad, layer_sizes)
 
     def val_loss():
         with np.errstate(over="ignore", invalid="ignore"):
@@ -259,15 +268,14 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
             d = out - yv
             return float(d @ d) / yv.shape[0]
 
-    adam_m = [np.zeros_like(w) for w in weights] + [np.zeros_like(b) for b in biases]
-    adam_v = [np.zeros_like(w) for w in weights] + [np.zeros_like(b) for b in biases]
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
     step = 0
 
     best = val_loss()
     initial_val = best
     best_epoch = 0
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best_params = params.copy()
     curve = []
     stale = 0
     epochs_run = 0
@@ -282,28 +290,23 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
             idx = perm[lo:lo + cfg.batch_size]
             # divergence surfaces as non-finite loss below; keep numpy quiet
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, dws, dbs = _backprop(weights, biases, activation,
-                                           Xt[idx], yt[idx])
+                loss = _backprop(weights, biases, activation, Xt[idx], yt[idx],
+                                 dws, dbs)
             if not math.isfinite(loss):
                 raise NonFinite(
                     f"training diverged at epoch {epoch} (loss={loss}); "
                     f"lower the learning rate or check the inputs")
             epoch_loss += loss
             batches += 1
-            grads = dws + dbs
-            params = weights + biases
             if cfg.optimizer == "sgd":
-                for p, g in zip(params, grads):
-                    p -= cfg.learning_rate * g
+                params -= cfg.learning_rate * grad
             else:
                 step += 1
                 c1 = 1.0 - ADAM_BETA1 ** step
                 c2 = 1.0 - ADAM_BETA2 ** step
-                for j, (p, g) in enumerate(zip(params, grads)):
-                    adam_m[j] = ADAM_BETA1 * adam_m[j] + (1 - ADAM_BETA1) * g
-                    adam_v[j] = ADAM_BETA2 * adam_v[j] + (1 - ADAM_BETA2) * g * g
-                    p -= cfg.learning_rate * (adam_m[j] / c1) / (np.sqrt(adam_v[j] / c2)
-                                                                 + ADAM_EPS)
+                adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
+                adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
+                params -= cfg.learning_rate * (adam_m / c1) / (np.sqrt(adam_v / c2) + ADAM_EPS)
         v = val_loss()
         if not math.isfinite(v):
             raise NonFinite(f"validation loss diverged at epoch {epoch}")
@@ -311,8 +314,7 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
         if v < best:
             best = v
             best_epoch = epoch
-            best_weights = [w.copy() for w in weights]
-            best_biases = [b.copy() for b in biases]
+            best_params = params.copy()
             stale = 0
         else:
             stale += 1
@@ -332,10 +334,11 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
         "validation_fraction": cfg.validation_fraction,
         "loss_curve": [[e, tr, va] for e, tr, va in curve],
     }
+    best_weights, best_biases = _param_views(best_params, layer_sizes)
     return MlpModel(
         layer_sizes=layer_sizes,
-        weights=tuple(w.copy() for w in best_weights),
-        biases=tuple(b.copy() for b in best_biases),
+        weights=best_weights,
+        biases=best_biases,
         activation=activation,
         scaler=scaler,
         target_name=target_name,
@@ -368,30 +371,25 @@ def gradient_check(model: MlpModel, row, target: float, step: float = 1e-5) -> f
     # differentiates, with the target standardized the same way
     base_loss = loss_fn(model.weights, model.biases)
     scaled_target = np.array([(target - model.target_mean) / ts])
-    _, dws, dbs = _backprop(model.weights, model.biases, model.activation,
-                            x, scaled_target)
-    dws = [g * ts * ts for g in dws]
-    dbs = [g * ts * ts for g in dbs]
-
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
+    params = np.concatenate([w.reshape(-1) for w in model.weights] + list(model.biases))
+    weights, biases = _param_views(params, model.layer_sizes)
+    grad = np.zeros_like(params)
+    _backprop(weights, biases, model.activation, x, scaled_target,
+              *_param_views(grad, model.layer_sizes))
+    grad = grad * ts * ts
     floor = 1e-6 * (1.0 + abs(base_loss))
     worst = 0.0
-    for arrays, grads in ((weights, dws), (biases, dbs)):
-        for arr, grad in zip(arrays, grads):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for k in range(flat.size):
-                keep = flat[k]
-                flat[k] = keep + step
-                up = loss_fn(weights, biases)
-                flat[k] = keep - step
-                down = loss_fn(weights, biases)
-                flat[k] = keep
-                numeric = (up - down) / (2.0 * step)
-                analytic = gflat[k]
-                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-                worst = max(worst, rel)
+    for k in range(params.size):
+        keep = params[k]
+        params[k] = keep + step
+        up = loss_fn(weights, biases)
+        params[k] = keep - step
+        down = loss_fn(weights, biases)
+        params[k] = keep
+        numeric = (up - down) / (2.0 * step)
+        analytic = grad[k]
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+        worst = max(worst, rel)
     return worst
 
 

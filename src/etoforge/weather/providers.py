@@ -174,8 +174,11 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
     0..MAX_HORIZON are dropped silently (providers may include the previous
     local day); any other entry a ForecastRecord would reject, or whose
     value is not a number a float holds, is skipped with a warning.
-    Unmapped entry keys are kept as `extras` JSON text.
+    Unmapped entry keys are kept as `extras` JSON text. A `tz_offset_hours`
+    that is not finite or lies beyond +/- 24 hours raises RangeError.
     """
+    if not -24.0 <= tz_offset_hours <= 24.0:
+        raise RangeError(f"tz_offset_hours={tz_offset_hours} outside +/- 24 hours")
     try:
         doc = json.loads(body)
     except ValueError as exc:

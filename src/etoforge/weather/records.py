@@ -56,8 +56,8 @@ class SiteMetadata:
             raise RangeError(f"longitude={self.longitude} outside +/- 180 degrees")
         if not math.isfinite(self.elevation):
             raise RangeError("elevation must be finite")
-        if not self.wind_sensor_height > 0.0:
-            raise RangeError("wind_sensor_height must be > 0")
+        if not 0.0 < self.wind_sensor_height < math.inf:
+            raise RangeError(f"wind_sensor_height={self.wind_sensor_height} must be finite and > 0")
 
     @property
     def latitude_rad(self) -> float:

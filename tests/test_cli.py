@@ -173,7 +173,10 @@ def test_oversized_numbers_in_cached_payloads_are_skipped(tmp_path, synth):
 
 
 @pytest.mark.parametrize("setting", ["longitude=nan", "tz_offset_hours=nan", "longitude=1e30",
-                                     "tz_offset_hours=1e20", "longitude=500"])
+                                     "tz_offset_hours=1e20", "longitude=500",
+                                     "wind_sensor_height=inf", "wind_sensor_height=nan",
+                                     "forecast_wind_height=nan", "forecast_wind_height=inf",
+                                     "forecast_wind_height=0", "forecast_wind_height=-2"])
 def test_bad_site_time_setting_is_usage_error(tmp_path, synth, capsys, setting):
     site, observations, forecasts = synth
     _write_inputs(tmp_path, observations[:20], forecasts["VC"][:320])

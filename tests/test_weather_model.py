@@ -554,6 +554,16 @@ def test_owm_epoch_dates_respect_tz_offset():
     assert east[0].target_date == D(2022, 6, 2)
 
 
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), 1e20, 100.0, -24.5])
+def test_bad_tz_offset_is_a_range_error(tmp_path, offset):
+    with pytest.raises(RangeError, match="tz_offset_hours"):
+        normalize_payload('{"list": []}', D(2022, 6, 1), load_provider_mapping("OWM"), offset)
+    ForecastCache(tmp_path).write("VC", D(2022, 6, 1), VC_BODY_ONE_DAY)
+    with pytest.raises(RangeError, match="tz_offset_hours"):
+        fetch_forecasts("VC", synthetic_site(), (D(2022, 6, 1), D(2022, 6, 1)),
+                        cache_dir=tmp_path, offline=True, tz_offset_hours=offset)
+
+
 def test_mapping_format_version_checked(tmp_path):
     bad = tmp_path / "map.json"
     bad.write_text(json.dumps({"format_version": 99, "provider": "VC",
