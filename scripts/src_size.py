@@ -1,8 +1,10 @@
 """Print the size of the package: `.py` lines and independently settable values.
 
-Lines are counted over every `.py` file under `src/`. A settable value is a
-function parameter with a default or a dataclass field with a default, found
-by walking each file's syntax tree; both are values a caller may set or leave.
+Lines are counted over every `.py` file under `src/`, in total and per module
+(path relative to SRC_DIR), so a change can say where its lines went. A
+settable value is a function parameter with a default or a dataclass field
+with a default, found by walking each file's syntax tree; both are values a
+caller may set or leave.
 
 Usage: python scripts/src_size.py [SRC_DIR]    (default: src/ of this checkout)
 """
@@ -39,13 +41,17 @@ def settable_values(tree: ast.AST) -> tuple[int, int]:
 def main(argv) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     lines = params = fields = 0
+    per_module = []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
-        lines += len(text.splitlines())
+        per_module.append((path.relative_to(root), len(text.splitlines())))
+        lines += per_module[-1][1]
         p, f = settable_values(ast.parse(text, filename=str(path)))
         params += p
         fields += f
     print(f"py_lines {lines}")
+    for module, count in per_module:
+        print(f"  {count:5d} {module}")
     print(f"settable_values {params + fields} "
           f"(defaulted parameters {params}, defaulted dataclass fields {fields})")
     return 0

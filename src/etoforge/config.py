@@ -1,21 +1,25 @@
 """Run configuration: a flat key=value file plus command-line overrides.
 
 The config file holds one `key = value` pair per line; `#` starts a
-comment. Flags always win over file values. Keys are documented in the
-README; unknown keys are rejected so typos fail loudly.
+comment. Flags always win over file values. Each key is declared once,
+as a `RunConfig` field that holds its default and its parser; the README
+documents them. Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import EtoforgeError
+from .fao56 import HUMIDITY_MODES
 from .pipelines import FEATURE_NAMES
-from .regressor import TrainConfig
+from .regressor import ACTIVATIONS, TrainConfig
+from .weather.providers import tz_shift
 from .weather.records import MAX_HORIZON, PROVIDERS, SiteMetadata
+from .weather.station_csv import CSV_FIELDS
 
 
 class ConfigError(EtoforgeError):
@@ -55,62 +59,79 @@ def _parse_horizons(text: str):
     return tuple(sorted(set(out)))
 
 
+def _items(text: str) -> tuple:
+    """The stripped entries of a comma list that must name at least one."""
+    items = tuple(item.strip() for item in text.split(",") if item.strip())
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
+def _widths(text: str) -> tuple:
+    """Hidden layer widths, e.g. "32,32"; none at all is a linear model."""
+    widths = tuple(int(x) for x in text.split(",") if x.strip())
+    if min(widths, default=1) < 1:
+        raise ValueError("layer widths must be at least 1")
+    return widths
+
+
 _BOOL = {"true": True, "yes": True, "1": True,
          "false": False, "no": False, "0": False}
 
 
+def _key(default, parse):
+    """A config key: its default and the parser of its raw text."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass
 class RunConfig:
-    """Everything a pipeline command needs, resolved and typed."""
+    """Everything a pipeline command needs, resolved and typed: each field but
+    `ws_columns` is the config key of its name. Site and training keys bear the
+    names of the SiteMetadata and TrainConfig fields they fill."""
 
-    site_id: str = "site"
-    latitude: float = 0.0
-    longitude: float = 0.0
-    elevation: float = 0.0
-    wind_sensor_height: float = 2.0
+    site_id: str = _key("site", str)
+    latitude: float = _key(0.0, float)
+    longitude: float = _key(0.0, float)
+    elevation: float = _key(0.0, float)
+    wind_sensor_height: float = _key(2.0, float)
 
-    ws_csv: Path | None = None
-    ws_schema: Path | None = None
-    forecast_cache: Path | None = None
-    out_dir: Path = Path("out")
+    ws_csv: Path | None = _key(None, Path)
+    ws_schema: Path | None = _key(None, Path)
+    forecast_cache: Path | None = _key(None, Path)
+    out_dir: Path = _key(Path("out"), Path)
 
-    providers: tuple = PROVIDERS
-    start_date: dt.date | None = None
-    end_date: dt.date | None = None
-    horizons: tuple = tuple(range(MAX_HORIZON + 1))
-    features: tuple = FEATURE_NAMES
+    providers: tuple = _key(PROVIDERS, lambda s: tuple(p.upper() for p in _items(s)))
+    start_date: dt.date | None = _key(None, dt.date.fromisoformat)
+    end_date: dt.date | None = _key(None, dt.date.fromisoformat)
+    horizons: tuple = _key(tuple(range(MAX_HORIZON + 1)), _parse_horizons)
+    features: tuple = _key(FEATURE_NAMES, _items)
 
-    r2_threshold: float = 0.7
-    mape_threshold: float = 25.0
+    r2_threshold: float = _key(0.7, float)
+    mape_threshold: float = _key(25.0, float)
 
-    seed: int = 0
-    epochs: int = 400
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    validation_fraction: float = 0.2
-    patience: int = 50
-    hidden: tuple = (32, 32)
-    activation: str = "relu"
-    holdout_fraction: float = 0.2
+    seed: int = _key(TrainConfig.seed, int)
+    epochs: int = _key(TrainConfig.epochs, int)
+    batch_size: int = _key(TrainConfig.batch_size, int)
+    learning_rate: float = _key(TrainConfig.learning_rate, float)
+    optimizer: str = _key(TrainConfig.optimizer, str)
+    validation_fraction: float = _key(TrainConfig.validation_fraction, float)
+    patience: int = _key(TrainConfig.patience, int)
+    hidden: tuple = _key((32, 32), _widths)
+    activation: str = _key("relu", str)
+    holdout_fraction: float = _key(0.2, float)
 
-    humidity_mode: str = "extremes"
-    forecast_wind_height: float | None = None
-    tz_offset_hours: float | None = None
-    offline: bool = False
-    ws_columns: dict = field(default_factory=dict)
+    humidity_mode: str = _key("extremes", str)
+    forecast_wind_height: float | None = _key(None, float)
+    tz_offset_hours: float | None = _key(None, float)
+    offline: bool = _key(False, lambda s: _BOOL[s.strip().lower()])
+    ws_columns: dict = field(default_factory=dict)  # the ws_column_<field> keys
 
     def site(self) -> SiteMetadata:
-        return SiteMetadata(site_id=self.site_id, latitude=self.latitude,
-                            longitude=self.longitude, elevation=self.elevation,
-                            wind_sensor_height=self.wind_sensor_height)
+        return SiteMetadata(**{f.name: getattr(self, f.name) for f in fields(SiteMetadata)})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           learning_rate=self.learning_rate,
-                           optimizer=self.optimizer, seed=self.seed,
-                           validation_fraction=self.validation_fraction,
-                           patience=self.patience)
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def require_paths(self, *names) -> None:
         """Fail with ConfigError unless every named path is set and exists."""
@@ -122,40 +143,6 @@ class RunConfig:
                 raise ConfigError(f"{name} path does not exist: {value}")
 
 
-_PARSERS = {
-    "site_id": str,
-    "latitude": float,
-    "longitude": float,
-    "elevation": float,
-    "wind_sensor_height": float,
-    "ws_csv": Path,
-    "ws_schema": Path,
-    "forecast_cache": Path,
-    "out_dir": Path,
-    "providers": lambda s: tuple(p.strip().upper() for p in s.split(",") if p.strip()),
-    "start_date": dt.date.fromisoformat,
-    "end_date": dt.date.fromisoformat,
-    "horizons": _parse_horizons,
-    "features": lambda s: tuple(f.strip() for f in s.split(",") if f.strip()),
-    "r2_threshold": float,
-    "mape_threshold": float,
-    "seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "optimizer": str,
-    "validation_fraction": float,
-    "patience": int,
-    "hidden": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
-    "activation": str,
-    "holdout_fraction": float,
-    "humidity_mode": str,
-    "forecast_wind_height": float,
-    "tz_offset_hours": float,
-    "offline": lambda s: _BOOL[s.strip().lower()],
-}
-
-
 def build_config(config_path=None, overrides=None) -> RunConfig:
     """Merge file values and override values into a validated RunConfig."""
     merged = {}
@@ -164,14 +151,16 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
     merged.update(overrides or {})
 
     cfg = RunConfig()
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.metadata}
     for key, raw in merged.items():
-        if key.startswith("ws_column_"):
-            cfg.ws_columns[key[len("ws_column_"):]] = raw
+        column = key.removeprefix("ws_column_")
+        if column != key and column in CSV_FIELDS:
+            cfg.ws_columns[column] = raw
             continue
-        if key not in _PARSERS:
+        if key not in parsers:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            value = _PARSERS[key](raw)
+            value = parsers[key](raw)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
         setattr(cfg, key, value)
@@ -182,17 +171,19 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
     unknown = [f for f in cfg.features if f not in FEATURE_NAMES]
     if unknown:
         raise ConfigError(f"unknown feature(s) {unknown}; available: {FEATURE_NAMES}")
-    if cfg.humidity_mode not in ("extremes", "average"):
-        raise ConfigError(f"humidity_mode must be extremes or average, "
+    if cfg.humidity_mode not in HUMIDITY_MODES:
+        raise ConfigError(f"humidity_mode must be {' or '.join(HUMIDITY_MODES)}, "
                           f"got {cfg.humidity_mode!r}")
+    if cfg.activation not in ACTIVATIONS:
+        raise ConfigError(f"activation must be {' or '.join(ACTIVATIONS)}, got {cfg.activation!r}")
     if not 0.0 < cfg.holdout_fraction < 1.0:
         raise ConfigError("holdout_fraction must be in (0, 1)")
-    if cfg.tz_offset_hours is not None and not -24.0 <= cfg.tz_offset_hours <= 24.0:
-        raise ConfigError(f"tz_offset_hours={cfg.tz_offset_hours} outside +/- 24 hours")
     if cfg.forecast_wind_height is not None and not 0.0 < cfg.forecast_wind_height < math.inf:
         raise ConfigError(f"forecast_wind_height={cfg.forecast_wind_height} "
                           f"must be finite and > 0")
     try:
+        if cfg.tz_offset_hours is not None:
+            tz_shift(cfg.tz_offset_hours)
         cfg.site()
         cfg.train_config()
     except EtoforgeError as exc:

@@ -81,6 +81,10 @@ class TrainConfig:
             raise ShapeMismatch("epochs, batch_size and patience must be positive")
         if self.learning_rate <= 0:
             raise ShapeMismatch("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ShapeMismatch("learning_rate must be finite")
+        if self.seed < 0:
+            raise ShapeMismatch("seed must be non-negative")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ShapeMismatch("validation_fraction must be in (0, 1)")
         if self.optimizer not in ("adam", "sgd"):
@@ -135,24 +139,16 @@ def _act(z, kind):
     return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
 
 
-def _act_grad(z, kind):
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 def _forward_scaled(weights, biases, activation, x):
-    """Forward pass on already-scaled rows; returns (output, pre-activations, activations)."""
-    pre, acts = [], [x]
+    """Forward pass on already-scaled rows; returns (output, each layer's input and output)."""
+    acts = [x]
     h = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
-        pre.append(z)
         h = z if i == last else _act(z, activation)
         acts.append(h)
-    return h[:, 0], pre, acts
+    return h[:, 0], acts
 
 
 def forward(model: MlpModel, row) -> float:
@@ -200,7 +196,7 @@ def _init_params(layer_sizes, rng):
 
 def _backprop(weights, biases, activation, x, y, dws, dbs):
     """Mean-squared-error loss of one scaled batch; its gradients go into dws, dbs."""
-    out, pre, acts = _forward_scaled(weights, biases, activation, x)
+    out, acts = _forward_scaled(weights, biases, activation, x)
     err = out - y
     n = x.shape[0]
     loss = float(err @ err) / n
@@ -209,7 +205,9 @@ def _backprop(weights, biases, activation, x, y, dws, dbs):
         np.matmul(acts[i].T, delta, out=dws[i])
         delta.sum(axis=0, out=dbs[i])
         if i > 0:
-            delta = (delta @ weights[i].T) * _act_grad(pre[i - 1], activation)
+            a = acts[i]  # the activation's derivative follows from its output
+            delta = (delta @ weights[i].T) * ((a > 0.0).astype(np.float64)
+                                              if activation == "relu" else 1.0 - a * a)
     return loss
 
 
@@ -236,6 +234,8 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
     hidden, activation = arch
     if activation not in ACTIVATIONS:
         raise ShapeMismatch(f"unknown activation {activation!r}")
+    if min(hidden, default=1) < 1:
+        raise ShapeMismatch(f"hidden layer widths must be positive, got {tuple(hidden)}")
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(X.shape[0])
@@ -264,7 +264,7 @@ def train(data, arch, cfg: TrainConfig, *, feature_names=None,
 
     def val_loss():
         with np.errstate(over="ignore", invalid="ignore"):
-            out, _, _ = _forward_scaled(weights, biases, activation, Xv)
+            out, _ = _forward_scaled(weights, biases, activation, Xv)
             d = out - yv
             return float(d @ d) / yv.shape[0]
 
@@ -363,7 +363,7 @@ def gradient_check(model: MlpModel, row, target: float, step: float = 1e-5) -> f
     ts = model.target_std
 
     def loss_fn(weights, biases):
-        out, _, _ = _forward_scaled(weights, biases, model.activation, x)
+        out, _ = _forward_scaled(weights, biases, model.activation, x)
         pred = out[0] * ts + model.target_mean
         return (pred - target) ** 2
 

@@ -165,6 +165,13 @@ def _walk(node, keys):
     return node
 
 
+def tz_shift(tz_offset_hours: float) -> dt.timedelta:
+    """A payload's local-time offset as a timedelta; RangeError unless within +/- 24 hours."""
+    if not -24.0 <= tz_offset_hours <= 24.0:
+        raise RangeError(f"tz_offset_hours={tz_offset_hours} outside +/- 24 hours")
+    return dt.timedelta(hours=tz_offset_hours)
+
+
 def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
                       tz_offset_hours: float = 0.0) -> ForecastTable:
     """Turn one raw response body into a ForecastTable of canonical records.
@@ -177,8 +184,6 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
     Unmapped entry keys are kept as `extras` JSON text. A `tz_offset_hours`
     that is not finite or lies beyond +/- 24 hours raises RangeError.
     """
-    if not -24.0 <= tz_offset_hours <= 24.0:
-        raise RangeError(f"tz_offset_hours={tz_offset_hours} outside +/- 24 hours")
     try:
         doc = json.loads(body)
     except ValueError as exc:
@@ -189,7 +194,7 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
         raise ProviderSchemaError(
             f"payload has no list at {'.'.join(mapping.list_path)!r} "
             f"({mapping.provider} issued {issue_date})")
-    shift, issued = dt.timedelta(hours=tz_offset_hours), issue_date.toordinal()
+    shift, issued = tz_shift(tz_offset_hours), issue_date.toordinal()
     target, extras, columns = [], [], {name: [] for name in FORECAST_FIELDS}
     for entry in entries:
         try:
@@ -372,6 +377,7 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     mapping = load_provider_mapping(provider)
     if tz_offset_hours is None:
         tz_offset_hours = site.solar_tz_offset_hours
+    tz_shift(tz_offset_hours)  # a bad offset fails before any payload is read or fetched
     if not offline:
         credentials = credentials or os.environ.get(ENV_KEYS[provider], "")
         if not credentials:

@@ -172,21 +172,33 @@ def test_oversized_numbers_in_cached_payloads_are_skipped(tmp_path, synth):
     assert len((tmp_path / "out" / "forecasts.jsonl").read_text().splitlines()) == 638
 
 
-@pytest.mark.parametrize("setting", ["longitude=nan", "tz_offset_hours=nan", "longitude=1e30",
-                                     "tz_offset_hours=1e20", "longitude=500",
-                                     "wind_sensor_height=inf", "wind_sensor_height=nan",
-                                     "forecast_wind_height=nan", "forecast_wind_height=inf",
-                                     "forecast_wind_height=0", "forecast_wind_height=-2"])
-def test_bad_site_time_setting_is_usage_error(tmp_path, synth, capsys, setting):
+BAD_CONFIG_VALUES = [
+    ("longitude", "nan"), ("tz_offset_hours", "nan"), ("longitude", "1e30"),
+    ("tz_offset_hours", "1e20"), ("longitude", "500"),
+    ("wind_sensor_height", "inf"), ("wind_sensor_height", "nan"),
+    ("forecast_wind_height", "nan"), ("forecast_wind_height", "inf"),
+    ("forecast_wind_height", "0"), ("forecast_wind_height", "-2"),
+    ("seed", "-1"), ("hidden", "-3"), ("hidden", "0"), ("hidden", "32,0"),
+    ("features", ""), ("providers", ""), ("activation", "sigmoid"),
+    ("learning_rate", "nan"), ("learning_rate", "inf"), ("ws_column_tempmax", "X"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES,
+                         ids=[f"{key}={value}" for key, value in BAD_CONFIG_VALUES])
+def test_bad_site_time_setting_is_usage_error(tmp_path, synth, capsys, key, value):
+    """The config row of the fault matrix: every command resolves the config
+    first, so a bad value is one `error:` line naming its key, exit 2."""
     site, observations, forecasts = synth
     _write_inputs(tmp_path, observations[:20], forecasts["VC"][:320])
     cfg = _config(tmp_path, tmp_path / "out", site, providers="VC",
                   start_date=observations[0].date, end_date=observations[19].date)
     assert main(["ingest", "forecast", "--offline", "--config", str(cfg),
-                 "--set", setting]) == 2
+                 "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
-    assert setting.partition("=")[0] in err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ingest_forecast_empty_cache(tmp_path, synth, capsys):

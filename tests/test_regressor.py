@@ -193,6 +193,18 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1e-3)
     with pytest.raises(ShapeMismatch):
         TrainConfig(optimizer="rmsprop")
+    with pytest.raises(ShapeMismatch, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ShapeMismatch, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("hidden", [(0,), (8, -3)])
+def test_train_rejects_non_positive_hidden_width(hidden):
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    with pytest.raises(ShapeMismatch, match="hidden layer widths"):
+        train((X, X[:, 0]), (hidden, "relu"), TrainConfig(epochs=2), target_name="y")
 
 
 def test_scaling_equivariance_is_bit_exact():

@@ -6,6 +6,11 @@ each updated on its own. `regressor.train` keeps all of them in flat
 buffers and updates each with one whole-buffer statement. Every update is
 element-wise in the same operand order, so the saved model documents,
 weights and loss curves included, must be identical.
+
+The reference keeps its own forward pass and takes each activation's
+derivative from the pre-activation (a second `np.tanh` for tanh), while
+`regressor` takes it from the activation itself; the results must still
+match bit for bit.
 """
 
 import io
@@ -17,6 +22,24 @@ import pytest
 from etoforge import regressor
 from etoforge.regressor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpModel,
                                 TrainConfig, fit_scaler)
+
+
+def _forward(weights, biases, activation, x):
+    """(output, pre-activations, layer inputs and outputs) of one scaled batch."""
+    pre, acts = [], [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        pre.append(acts[-1] @ w + b)
+        last = i == len(weights) - 1
+        acts.append(pre[-1] if last else regressor._act(pre[-1], activation))
+    return acts[-1][:, 0], pre, acts
+
+
+def _act_grad(z, activation):
+    """The activation's derivative at the pre-activation `z`."""
+    if activation == "relu":
+        return (z > 0.0).astype(np.float64)
+    t = np.tanh(z)
+    return 1.0 - t * t
 
 
 def _reference_train(X, y, hidden, activation, cfg):
@@ -37,7 +60,7 @@ def _reference_train(X, y, hidden, activation, cfg):
     adam_v = [np.zeros_like(p) for p in params]
 
     def val_loss():
-        d = regressor._forward_scaled(weights, biases, activation, Xv)[0] - yv
+        d = _forward(weights, biases, activation, Xv)[0] - yv
         return float(d @ d) / yv.shape[0]
 
     best = initial = val_loss()
@@ -46,7 +69,7 @@ def _reference_train(X, y, hidden, activation, cfg):
         perm, losses = rng.permutation(Xt.shape[0]), []
         for lo in range(0, Xt.shape[0], cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
-            out, pre, acts = regressor._forward_scaled(weights, biases, activation, Xt[idx])
+            out, pre, acts = _forward(weights, biases, activation, Xt[idx])
             err = out - yt[idx]
             losses.append(float(err @ err) / idx.size)
             delta = (2.0 / idx.size) * err[:, None]
@@ -54,7 +77,7 @@ def _reference_train(X, y, hidden, activation, cfg):
             for i in range(len(weights) - 1, -1, -1):
                 dws[i], dbs[i] = acts[i].T @ delta, delta.sum(axis=0)
                 if i > 0:
-                    delta = (delta @ weights[i].T) * regressor._act_grad(pre[i - 1], activation)
+                    delta = (delta @ weights[i].T) * _act_grad(pre[i - 1], activation)
             if cfg.optimizer == "sgd":
                 for p, g in zip(params, dws + dbs):
                     p -= cfg.learning_rate * g

@@ -564,6 +564,24 @@ def test_bad_tz_offset_is_a_range_error(tmp_path, offset):
                         cache_dir=tmp_path, offline=True, tz_offset_hours=offset)
 
 
+def test_fetch_checks_tz_offset_before_reading_any_payload(tmp_path):
+    """A bad offset fails as RangeError on an empty cache, and online fetches nothing."""
+    with pytest.raises(RangeError, match="tz_offset_hours=nan outside"):
+        fetch_forecasts("OWM", synthetic_site(), (D(2022, 6, 1), D(2022, 6, 1)),
+                        cache_dir=tmp_path, offline=True, tz_offset_hours=float("nan"))
+    seen = []
+
+    def serve(url, params):
+        seen.append(url)
+        return 200, {}, VC_BODY_ONE_DAY
+
+    with pytest.raises(RangeError, match="tz_offset_hours=30.0 outside"):
+        fetch_forecasts("VC", synthetic_site(), (D(2022, 6, 1), D(2022, 6, 1)),
+                        credentials="key", cache_dir=tmp_path, offline=False,
+                        http_get=serve, tz_offset_hours=30.0)
+    assert seen == [] and not any(tmp_path.iterdir())
+
+
 def test_mapping_format_version_checked(tmp_path):
     bad = tmp_path / "map.json"
     bad.write_text(json.dumps({"format_version": 99, "provider": "VC",
