@@ -52,13 +52,21 @@ def _write_manifest(out_dir: Path, seed: int) -> None:
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _parse_station_csv(path, schema):
+    """The observations of a station CSV; EmptyInput naming it if it has no data rows."""
+    observations = parse_ws_csv(path, schema)
+    if not observations:
+        raise EmptyInput(f"station CSV {path} has no data rows")
+    return observations
+
+
 def _load_observations(cfg):
     store = cfg.out_dir / OBS_STORE
     if not store.is_file():
         raise ConfigError(f"no ingested observations at {store}; run `ingest ws` first")
     schema = load_ws_schema(cfg.out_dir / OBS_SCHEMA) \
         if (cfg.out_dir / OBS_SCHEMA).is_file() else None
-    return parse_ws_csv(store, schema or WsSchema.canonical())
+    return _parse_station_csv(store, schema or WsSchema.canonical())
 
 
 def _load_forecasts(cfg):
@@ -81,9 +89,7 @@ def _load_model(cfg, target: str):
 def cmd_ingest_ws(cfg) -> int:
     cfg.require_paths("ws_csv", "ws_schema")
     schema = load_ws_schema(cfg.ws_schema, columns=cfg.ws_columns)
-    observations = parse_ws_csv(cfg.ws_csv, schema)
-    if not observations:
-        raise EmptyInput(f"station CSV {cfg.ws_csv} has no data rows")
+    observations = _parse_station_csv(cfg.ws_csv, schema)
     _write(cfg.out_dir, OBS_STORE, serialize_ws_csv(observations))
     _write(cfg.out_dir, OBS_SCHEMA, ws_schema_text())
     first, last = observations[0].date, observations[-1].date

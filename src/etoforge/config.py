@@ -178,6 +178,12 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
         raise ConfigError(f"activation must be {' or '.join(ACTIVATIONS)}, got {cfg.activation!r}")
     if not 0.0 < cfg.holdout_fraction < 1.0:
         raise ConfigError("holdout_fraction must be in (0, 1)")
+    if not math.isfinite(cfg.r2_threshold):
+        raise ConfigError(f"r2_threshold={cfg.r2_threshold} must be finite")
+    if not cfg.mape_threshold >= 0.0:
+        raise ConfigError(f"mape_threshold={cfg.mape_threshold} must be >= 0")
+    if cfg.start_date and cfg.end_date and cfg.start_date > cfg.end_date:
+        raise ConfigError(f"start_date={cfg.start_date} is after end_date={cfg.end_date}")
     if cfg.forecast_wind_height is not None and not 0.0 < cfg.forecast_wind_height < math.inf:
         raise ConfigError(f"forecast_wind_height={cfg.forecast_wind_height} "
                           f"must be finite and > 0")

@@ -25,7 +25,7 @@ from . import pipelines
 from .errors import (DegenerateActuals, EmptyInput, LengthMismatch,
                      MissingCells, NoModels, NonFinite, RangeError)
 from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR, ModelBundle
-from .weather.records import MAX_HORIZON, PROVIDERS, as_table, date_ordinals, join_dates
+from .weather.records import MAX_HORIZON, PROVIDERS, as_table, by_date, join_dates
 
 MAPE_EPSILON = {TARGET_ET0: 0.05, TARGET_SR: 1.0}
 UNITS_NOTE = {TARGET_ET0: "mm/day", TARGET_SR: "W/m2"}
@@ -115,13 +115,12 @@ _CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, RangeError)
 def _aligned_cells(ordered, table, providers, horizons):
     """(provider, horizon, observation positions, table rows, coverage) per cell.
 
-    `ordered` are the observations sorted by date; each cell is one join
-    on the table's one cached (provider, horizon) index.
+    `ordered` is the observation table in date order; each cell is one join
+    on the forecast table's one cached (provider, horizon) index.
     """
-    ordinals = date_ordinals(ordered)
     for provider in providers:
         for horizon in horizons:
-            yield (provider, horizon, *join_dates(table, ordinals, horizon, (provider,)))
+            yield (provider, horizon, *join_dates(table, ordered.day, horizon, (provider,)))
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,7 @@ def compare_forecast_fidelity(observations, forecasts, providers=None,
     table = as_table(forecasts)
     if providers is None:
         providers = tuple(table.providers()) or PROVIDERS
-    ordered = sorted(observations, key=lambda o: o.date)
-    observed = {attr: np.array([getattr(o, attr) for o in ordered], dtype=np.float64)
-                for attr in _FEATURE_ATTR.values()}
+    ordered = by_date(observations)
     cells = {}
     omissions = []
     for provider, horizon, matched, rows, _ in _aligned_cells(ordered, table, providers,
@@ -157,7 +154,7 @@ def compare_forecast_fidelity(observations, forecasts, providers=None,
             try:
                 if usable.sum() < 2:
                     raise LengthMismatch(f"only {usable.sum()} usable pairs")
-                cells[key] = metrics(observed[attr][matched[usable]],
+                cells[key] = metrics(ordered.column(attr)[matched[usable]],
                                      table.values[attr][rows[usable]]).r2
             except (LengthMismatch, DegenerateActuals, NonFinite) as exc:
                 omissions.append((key, str(exc)))
@@ -197,7 +194,7 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
     """
     if models.et0_model is None or models.sr_model is None:
         raise NoModels("the sweep needs trained ET0 and SR models")
-    ordered = sorted(observations, key=lambda o: o.date)
+    ordered = by_date(observations)
     table = as_table(forecasts)
     targets = {TARGET_ET0: pipelines.build_et0_target(ordered, site, humidity_mode).values,
                TARGET_SR: pipelines.build_sr_target(ordered).values}

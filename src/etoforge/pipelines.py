@@ -15,7 +15,6 @@ in features; only the physics path normalizes it to 2 m.
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -27,8 +26,8 @@ from . import fao56
 from .errors import (DomainError, EtoforgeError, FeatureMismatch, MissingField,
                      RangeError)
 from .regressor import MlpModel, forward, predict_batch
-from .weather.records import (DailyObservation, ForecastRecord, ForecastTable,
-                              SiteMetadata)
+from .weather.records import (DayTable, ForecastRecord, ForecastTable, ObservationTable,
+                              SiteMetadata, by_date)
 
 FEATURE_NAMES = ("temp_max", "temp_min", "rh_avg", "wind_avg",
                  "doy_sin", "doy_cos", "ra")
@@ -95,46 +94,15 @@ class ModelBundle:
     sr_model: object = None
 
 
-class _Fields:
-    """Observations read field by field, each field at most once and only on first use.
-
-    The observation counterpart of a ForecastTable: both give `dates`,
-    `day_of_year` and `column(name)`.
-    """
-
-    def __init__(self, records):
-        self.records = list(records)
-        self._columns = {}
-
-    @functools.cached_property
-    def dates(self) -> list:
-        for record in self.records:
-            if not isinstance(record, DailyObservation):
-                raise FeatureMismatch(f"unsupported record type {type(record).__name__}")
-        return [record.date for record in self.records]
-
-    @functools.cached_property
-    def day_of_year(self) -> np.ndarray:
-        return np.array([d.timetuple().tm_yday for d in self.dates], dtype=np.int64)
-
-    def column(self, name) -> np.ndarray:
-        """One raw weather field; MissingField if any record lacks it."""
-        if name not in self._columns:
-            values = [getattr(record, name, None) for record in self.records]
-            if None in values:
-                raise MissingField(name)
-            self._columns[name] = np.array(values, dtype=np.float64)
-        return self._columns[name]
-
-
 def _read_once(records):
-    """`records` as columns read once: a ForecastTable for forecasts, else a _Fields."""
-    if isinstance(records, (_Fields, ForecastTable)):
+    """`records` as columns read once: a table as it is, a list of forecast
+    records as a ForecastTable, of observations as an ObservationTable, in input order."""
+    if isinstance(records, DayTable):
         return records
     records = list(records)
     if records and all(isinstance(r, ForecastRecord) for r in records):
         return ForecastTable.from_records(records)
-    return _Fields(records)
+    return ObservationTable(records)
 
 
 def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
@@ -223,14 +191,14 @@ def build_et0_target(observations, site: SiteMetadata,
     rh-extremes form (default, stations report extremes) and the
     mean-humidity form used on forecast-driven paths.
     """
-    fields = _Fields(sorted(observations, key=lambda o: o.date))
+    fields = by_date(observations)
     result = _physics_et0(fields, fields.column("sr_avg"), site, humidity_mode)
     return TargetSeries(dates=tuple(fields.dates), values=result.et0, kind=TARGET_ET0)
 
 
 def build_sr_target(observations) -> TargetSeries:
     """Daily-mean solar radiation, straight from the station record."""
-    fields = _Fields(sorted(observations, key=lambda o: o.date))
+    fields = by_date(observations)
     return TargetSeries(dates=tuple(fields.dates), values=fields.column("sr_avg"),
                         kind=TARGET_SR)
 

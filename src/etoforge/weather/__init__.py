@@ -1,8 +1,8 @@
 """Weather data model: canonical records, station CSV, providers, alignment."""
 
 from .records import (MAX_HORIZON, PROVIDERS, AlignedPair, AlignResult,
-                      DailyObservation, ForecastRecord, ForecastTable,
-                      SiteMetadata, align_horizons, read_text)
+                      DailyObservation, DayTable, ForecastRecord, ForecastTable,
+                      ObservationTable, SiteMetadata, align_horizons, by_date, read_text)
 from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
                           serialize_ws_csv, ws_schema_text)
 from .providers import (ENV_KEYS, FieldMap, ForecastCache, ProviderMapping,
@@ -13,8 +13,8 @@ from . import units
 
 __all__ = [
     "MAX_HORIZON", "PROVIDERS", "AlignedPair", "AlignResult",
-    "DailyObservation", "ForecastRecord", "ForecastTable", "SiteMetadata",
-    "align_horizons", "read_text", "WsSchema", "load_ws_schema",
+    "DailyObservation", "DayTable", "ForecastRecord", "ForecastTable", "ObservationTable",
+    "SiteMetadata", "align_horizons", "by_date", "read_text", "WsSchema", "load_ws_schema",
     "parse_ws_csv", "serialize_ws_csv", "ws_schema_text", "ENV_KEYS", "FieldMap",
     "ForecastCache",
     "ProviderMapping", "fetch_forecasts", "load_provider_mapping",

@@ -13,13 +13,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import MissingField, RangeError
+from ..errors import FeatureMismatch, MissingField, RangeError
 from . import units
 
 PROVIDERS = ("VC", "OWM")
@@ -191,30 +191,97 @@ class AlignResult(NamedTuple):
 
 
 FORECAST_FIELDS = ("temp_max", "temp_min", "rh_avg", "wind_avg", "precip")
+OBSERVATION_FIELDS = tuple(f.name for f in fields(DailyObservation))[1:]
 _FLOAT_OR_ABSENT = {float, type(None)}
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
-class ForecastTable:
+class DayTable:
+    """Rows of daily records as columns: the date ordinal `day` of each row, one
+    float64 column `values[name]` per field and the mask `present[name]` of the
+    rows that carry it. `table[i]` is row i's record; `dates` share one `date`
+    object per ordinal."""
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def date(self, ordinal) -> dt.date:
+        """The one `date` object this table's views use for `ordinal`."""
+        ordinal = int(ordinal)
+        day = self._dates.get(ordinal)
+        if day is None:
+            day = self._dates[ordinal] = dt.date.fromordinal(ordinal)
+        return day
+
+    @functools.cached_property
+    def dates(self) -> list:
+        """Each row's date."""
+        return [self.date(o) for o in self.day.tolist()]
+
+    @functools.cached_property
+    def day_of_year(self) -> np.ndarray:
+        """Each row's day of the year, 1-based."""
+        days = (self.day - _EPOCH_ORDINAL).astype("datetime64[D]")
+        return (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
+
+    def column(self, name) -> np.ndarray:
+        """One field's column; MissingField if any row lacks it."""
+        if name not in self.values or not self.present[name].all():
+            raise MissingField(name)
+        return self.values[name]
+
+
+class ObservationTable(DayTable):
+    """Observation records in the given order; each was checked by its own
+    DailyObservation. `day` holds their dates, and an absent optional field
+    reads as NaN in `values`. `table[i]` is the record itself."""
+
+    def __init__(self, records):
+        self.records = list(records)
+        if not all(isinstance(r, DailyObservation) for r in self.records):
+            raise FeatureMismatch("observations must be DailyObservation records")
+        self.day = np.array([r.date.toordinal() for r in self.records], dtype=np.int64)
+        self.values = {name: np.array([getattr(r, name) for r in self.records], dtype=np.float64)
+                       for name in OBSERVATION_FIELDS}
+        self.present = {name: ~np.isnan(x) for name, x in self.values.items()}
+        self._dates = {}
+
+    def __getitem__(self, i) -> DailyObservation:
+        return self.records[i]
+
+
+def by_date(observations) -> ObservationTable:
+    """`observations` (a table or records) as a table in ascending date order:
+    the table itself when it is in that order already."""
+    if not isinstance(observations, ObservationTable):
+        observations = ObservationTable(observations)
+    if (np.diff(observations.day) >= 0).all():
+        return observations
+    return ObservationTable(sorted(observations, key=lambda o: o.date))
+
+
+class ForecastTable(DayTable):
     """Forecast records as columns, one row per record, in input order.
 
-    `provider` holds indices into PROVIDERS; `target` and `issue` hold
-    date ordinals and `horizon` their difference. `values[name]` is one
-    float64 column per field of FORECAST_FIELDS and `present[name]` marks
-    the rows that carry it. An absent value is stored as 0.0 behind its
-    mask, never as NaN, so a stored NaN still fails the checks.
+    `provider` holds indices into PROVIDERS; `target` (the `day`) and
+    `issue` hold date ordinals and `horizon` their difference. `values`
+    has one column per field of FORECAST_FIELDS. An absent value is stored
+    as 0.0 behind its mask, never as NaN, so a stored NaN still fails the
+    checks.
     `sources[i]` is what the row view `table[i]` (a ForecastRecord) is
     made from: the record the table was built of, its store line, or
     (`extras_text`, an ingested payload's rows) its `extras` as
-    sorted-key JSON text, decoded only then. Views share one `date` per
-    ordinal.
+    sorted-key JSON text, decoded only then.
     """
 
     def __init__(self, provider, target, issue, values, present, sources, dates=None,
                  extras_text=False):
         self.provider = provider
-        self.target = target
+        self.target = self.day = target
         self.issue = issue
         self.horizon = target - issue
         self.values = values
@@ -292,9 +359,6 @@ class ForecastTable:
                    {name: cat(lambda t: t.present[name]) for name in FORECAST_FIELDS},
                    cat(lambda t: t.sources), extras_text=tables[0].extras_text)
 
-    def __len__(self) -> int:
-        return len(self.target)
-
     def __getitem__(self, i) -> ForecastRecord:
         source = self.sources[i]
         if isinstance(source, ForecastRecord):
@@ -306,34 +370,6 @@ class ForecastTable:
             extras=extras if self.extras_text else extras.get("extras", {}),
             **{name: float(self.values[name][i]) if self.present[name][i] else None
                for name in FORECAST_FIELDS})
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def date(self, ordinal) -> dt.date:
-        """The one `date` object this table's views use for `ordinal`."""
-        ordinal = int(ordinal)
-        day = self._dates.get(ordinal)
-        if day is None:
-            day = self._dates[ordinal] = dt.date.fromordinal(ordinal)
-        return day
-
-    @functools.cached_property
-    def dates(self) -> list:
-        """Each row's target date."""
-        return [self.date(o) for o in self.target.tolist()]
-
-    @functools.cached_property
-    def day_of_year(self) -> np.ndarray:
-        """Each row's target day of the year, 1-based."""
-        days = (self.target - _EPOCH_ORDINAL).astype("datetime64[D]")
-        return (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
-
-    def column(self, name) -> np.ndarray:
-        """One field's column; MissingField if any row lacks it."""
-        if name not in self.values or not self.present[name].all():
-            raise MissingField(name)
-        return self.values[name]
 
     def providers(self) -> list:
         """The providers with rows here, in name order."""
@@ -403,11 +439,6 @@ def join_dates(table: ForecastTable, ordinals, horizon, providers):
     return matched, chosen[matched], matched.size / len(ordinals) if len(ordinals) else 0.0
 
 
-def date_ordinals(records) -> np.ndarray:
-    """The ordinals of the records' `date`s."""
-    return np.array([r.date.toordinal() for r in records], dtype=np.int64)
-
-
 def align_horizons(observations, forecasts, horizon) -> AlignResult:
     """Join observations with horizon-`horizon` forecasts on the date.
 
@@ -420,10 +451,9 @@ def align_horizons(observations, forecasts, horizon) -> AlignResult:
     the result depend on input ordering.
     """
     table = as_table(forecasts)
-    ordered = sorted(observations, key=lambda o: o.date)
-    matched, rows, coverage = join_dates(table, date_ordinals(ordered), horizon,
-                                         table.providers())
+    ordered = by_date(observations)
+    matched, rows, coverage = join_dates(table, ordered.day, horizon, table.providers())
     pairs = [AlignedPair(date=ordered[i].date, observed=ordered[i], forecast=table[r])
              for i, r in zip(matched.tolist(), rows.tolist())]
     return AlignResult(pairs=pairs, coverage=coverage,
-                       matched=len(pairs), total_observed=len(observations))
+                       matched=len(pairs), total_observed=len(ordered))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from ..errors import DuplicateDate, MissingColumn, RangeError, UnitError
 from . import units
-from .records import DailyObservation, decode_utf8, read_text
+from .records import DailyObservation, ObservationTable, by_date, decode_utf8, read_text
 
 REQUIRED_FIELDS = (
     "temp_max", "temp_min", "temp_avg",
@@ -81,10 +81,10 @@ def _open_text(stream):
     return io.StringIO(read_text(stream))
 
 
-def parse_ws_csv(stream, schema: WsSchema) -> list:
+def parse_ws_csv(stream, schema: WsSchema) -> ObservationTable:
     """Load daily observations from a CSV stream, converting to canonical units.
 
-    Rows come back sorted ascending by date. Before any row is read: MissingColumn
+    Returns their table in ascending date order. Before any row is read: MissingColumn
     for an absent mapped header, then UnitError for an undeclared, unknown or
     wrong-quantity unit. Then RangeError (with the 1-based data row number) for
     invariant violations, DuplicateDate for repeated dates.
@@ -144,8 +144,7 @@ def parse_ws_csv(stream, schema: WsSchema) -> list:
         except RangeError as exc:
             raise RangeError(str(exc), row=rownum) from exc
 
-    observations.sort(key=lambda o: o.date)
-    return observations
+    return by_date(observations)
 
 
 def serialize_ws_csv(observations) -> str:
@@ -157,7 +156,7 @@ def serialize_ws_csv(observations) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for obs in sorted(observations, key=lambda o: o.date):
+    for obs in by_date(observations):
         row = [obs.date.isoformat()]
         for name in CSV_FIELDS[1:]:
             value = getattr(obs, name)

@@ -181,6 +181,10 @@ BAD_CONFIG_VALUES = [
     ("seed", "-1"), ("hidden", "-3"), ("hidden", "0"), ("hidden", "32,0"),
     ("features", ""), ("providers", ""), ("activation", "sigmoid"),
     ("learning_rate", "nan"), ("learning_rate", "inf"), ("ws_column_tempmax", "X"),
+    ("r2_threshold", "nan"), ("r2_threshold", "inf"), ("r2_threshold", "-inf"),
+    ("mape_threshold", "-1"), ("mape_threshold", "nan"),
+    # reversed against the configured end_date / start_date
+    ("start_date", "2021-06-01"), ("end_date", "2019-12-01"),
 ]
 
 
@@ -340,28 +344,102 @@ def _non_utf8(path):
     (["evaluate"], "out/forecasts.jsonl", _truncate),
     (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _truncate),
     (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _non_utf8),
-    (["ingest", "ws"], "ws.csv", _non_utf8),
-    (["ingest", "ws"], "ws.schema", _non_utf8),
     (["evaluate"], "out/forecasts.jsonl", _non_utf8),
-    (["evaluate"], "out/observations.csv", _non_utf8),
 ], ids=["truncated-model-predict", "empty-model-predict", "truncated-store-evaluate",
-        "truncated-payload-ingest", "non-utf8-payload-ingest", "non-utf8-ws-csv-ingest",
-        "non-utf8-ws-schema-ingest", "non-utf8-store-evaluate",
-        "non-utf8-observations-evaluate"])
+        "truncated-payload-ingest", "non-utf8-payload-ingest", "non-utf8-store-evaluate"])
 def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
                                                 command, artifact, corrupt):
     root = tmp_path / "ws"
     shutil.copytree(small_ws["root"], root)
     corrupt(root / artifact)
     capsys.readouterr()
-    assert main(command + ["--config", str(small_ws["cfg"]),
-                           "--out-dir", str(root / "out"),
-                           "--set", f"forecast_cache={root / 'cache'}",
-                           "--set", f"ws_csv={root / 'ws.csv'}",
-                           "--set", f"ws_schema={root / 'ws.schema'}"]) == 3
+    assert _run_in_copy(small_ws, root, command) == 3
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+def _run_in_copy(small_ws, root, command):
+    """`command` with every input and output path moved to the copy at `root`."""
+    return main(command + ["--config", str(small_ws["cfg"]), "--out-dir", str(root / "out"),
+                           "--set", f"forecast_cache={root / 'cache'}",
+                           "--set", f"ws_csv={root / 'ws.csv'}",
+                           "--set", f"ws_schema={root / 'ws.schema'}"])
+
+
+def _file_bytes(directory):
+    return {p: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def _edit_lines(edit):
+    """A corruption that rewrites a file's list of lines (line ends kept) with `edit`."""
+    def corrupt(path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(edit(lines)))
+    return corrupt
+
+
+def _set_cell(row, column, value):
+    def edit(lines):
+        cells = lines[row].split(b",")
+        cells[column] = value(lines)
+        return lines[:row] + [b",".join(cells)] + lines[row + 1:]
+    return _edit_lines(edit)
+
+
+STATION_CSV_FAULTS = {
+    # data row 3 cut after its temp_min cell
+    "truncated": (_edit_lines(lambda lines: lines[:3] + [b",".join(lines[3].split(b",")[:3])]),
+                  "empty value for temp_avg"),
+    "empty": (lambda path: path.write_bytes(b""), "not in file header"),
+    "header-only": (_edit_lines(lambda lines: lines[:1]), "has no data rows"),
+    "text": (_set_cell(3, 6, lambda lines: b"humid"), "is not a number"),
+    "nan": (_set_cell(3, 6, lambda lines: b"nan"), "is not a finite number"),
+    "non-utf8": (_non_utf8, "is not UTF-8 text"),
+    "duplicate-date": (_set_cell(3, 0, lambda lines: lines[2].split(b",")[0]),
+                       "appears in rows 2 and 3"),
+}
+STATION_SCHEMA_FAULTS = {
+    "truncated": (_truncate, "expected column=unit"),
+    "empty": (lambda path: path.write_bytes(b""), "no unit declared for column"),
+    "no-equals": (_edit_lines(lambda lines: lines + [b"temp_max degC\n"]),
+                  "expected column=unit"),
+    "non-utf8": (_non_utf8, "is not UTF-8 text"),
+}
+STATION_READERS = {
+    "ingest-ws": ["ingest", "ws"],
+    "train": ["train", "--target", "et0"],
+    "evaluate": ["evaluate"],
+    "predict-ws": ["predict", "--estimator", "et0_ann", "--source", "ws"],
+    # no dates configured, so the range is read from the ingested observations
+    "ingest-forecast": ["ingest", "forecast", "--offline"],
+}
+STATION_CASES = (
+    [("ingest-ws", "ws.csv", fault) for fault in STATION_CSV_FAULTS]
+    + [("ingest-ws", "ws.schema", fault) for fault in STATION_SCHEMA_FAULTS]
+    + [(reader, "out/observations.csv", fault)
+       for reader in ("train", "evaluate", "predict-ws", "ingest-forecast")
+       for fault in STATION_CSV_FAULTS])
+
+
+@pytest.mark.parametrize("reader, artifact, fault", STATION_CASES,
+                         ids=[f"{r}-{Path(a).name}-{f}" for r, a, f in STATION_CASES])
+def test_station_fault_is_a_typed_data_error(small_ws, tmp_path, capsys,
+                                             reader, artifact, fault):
+    """The station rows of the fault matrix: each command that reads a station
+    file fails on a broken one with one `error:` line, exit 3, and writes nothing."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    faults = STATION_SCHEMA_FAULTS if artifact.endswith(".schema") else STATION_CSV_FAULTS
+    corrupt, message = faults[fault]
+    corrupt(root / artifact)
+    before = _file_bytes(root / "out")
+    capsys.readouterr()
+    assert _run_in_copy(small_ws, root, STATION_READERS[reader]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert message in err and "Traceback" not in err
+    assert _file_bytes(root / "out") == before
 
 
 def test_evaluate_builds_the_forecast_index_once(small_ws, tmp_path, monkeypatch):

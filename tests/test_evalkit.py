@@ -19,7 +19,7 @@ from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
                               sweep_from_json, usable_horizon)
 from etoforge.synthetic import (synthetic_forecasts, synthetic_observations,
                                 synthetic_site)
-from etoforge.weather import (ForecastTable, align_horizons, records_from_jsonl,
+from etoforge.weather import (ForecastTable, align_horizons, by_date, records_from_jsonl,
                               records_to_jsonl)
 
 from .gen_golden import GOLDEN_PATH, build_report
@@ -190,7 +190,7 @@ def test_fidelity_records_omissions_instead_of_aborting(small_world):
 def test_aligned_cells_equal_align_horizons(synth):
     _, observations, forecasts = synth
     table = ForecastTable.from_records(forecasts["VC"] + forecasts["OWM"])
-    ordered = sorted(observations, key=lambda o: o.date)
+    ordered = by_date(observations)
     seen = 0
     for provider, horizon, matched, rows, coverage in _aligned_cells(
             ordered, table, ("VC", "OWM"), range(16)):

@@ -174,7 +174,7 @@ def test_round_trip_is_bit_exact(synth):
                        sr_max=None, pressure_avg=None))
     parsed = parse_ws_csv(io.BytesIO(serialize_ws_csv(sample).encode()),
                           WsSchema.canonical())
-    assert parsed == sorted(sample, key=lambda o: o.date)
+    assert list(parsed) == sorted(sample, key=lambda o: o.date)
 
 
 def test_missing_column():
