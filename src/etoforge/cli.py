@@ -22,21 +22,26 @@ import numpy as np
 from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import EmptyInput, EtoforgeError, MissingCells
-from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, WsSchema,
-                      fetch_forecasts, load_ws_schema, parse_ws_csv, read_text,
-                      records_from_jsonl, records_to_jsonl, serialize_ws_csv,
-                      ws_schema_text)
+from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, WsSchema, decode_utf8,
+                      fetch_forecasts, load_ws_schema, parse_ws_csv, records_from_jsonl,
+                      records_from_npz, records_to_jsonl, records_to_npz,
+                      serialize_ws_csv, ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
 FORECAST_STORE = "forecasts.jsonl"
+FORECAST_COLUMNS = "forecasts.npz"   # the store's column sidecar, read when valid
 MODEL_FILES = {"ET0": "model_et0.json", "SR": "model_sr.json"}
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
+def _write(out_dir: Path, name: str, text) -> Path:
+    """Write `text` (str, or bytes as they are) to out_dir/name and say so."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
     return path
 
@@ -73,7 +78,13 @@ def _load_forecasts(cfg):
     store = cfg.out_dir / FORECAST_STORE
     if not store.is_file():
         raise ConfigError(f"no ingested forecasts at {store}; run `ingest forecast` first")
-    return records_from_jsonl(read_text(store))
+    data = store.read_bytes()
+    table = records_from_npz(cfg.out_dir / FORECAST_COLUMNS, data)
+    if table is None:
+        table = records_from_jsonl(decode_utf8(data, store))
+    if not len(table):
+        raise EmptyInput(f"forecast store {store} has no records")
+    return table
 
 
 def _load_model(cfg, target: str):
@@ -115,6 +126,10 @@ def cmd_ingest_forecast(cfg) -> int:
         else:
             raise ConfigError("start_date/end_date not configured and no "
                               "ingested observations to take the range from")
+        if start > end:  # one end is configured, the other observed
+            raise ConfigError(f"start_date={start} is after the last observed date {end}"
+                              if cfg.start_date else
+                              f"end_date={end} is before the first observed date {start}")
     site = cfg.site()
     tables = []
     for provider in cfg.providers:
@@ -129,7 +144,10 @@ def cmd_ingest_forecast(cfg) -> int:
         spread = str(low) if low == high else f"{low}-{high}"
         print(f"{provider}: {len(table)} forecast records across "
               f"{days.size} target dates, {spread} horizons per date")
-    _write(cfg.out_dir, FORECAST_STORE, records_to_jsonl(ForecastTable.concat(tables)))
+    table = ForecastTable.concat(tables)
+    store = records_to_jsonl(table).encode("utf-8")
+    _write(cfg.out_dir, FORECAST_STORE, store)
+    (cfg.out_dir / FORECAST_COLUMNS).write_bytes(records_to_npz(table, store))
     _write_manifest(cfg.out_dir, cfg.seed)
     return 0
 

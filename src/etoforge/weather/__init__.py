@@ -2,21 +2,24 @@
 
 from .records import (MAX_HORIZON, PROVIDERS, AlignedPair, AlignResult,
                       DailyObservation, DayTable, ForecastRecord, ForecastTable,
-                      ObservationTable, SiteMetadata, align_horizons, by_date, read_text)
+                      ObservationTable, SiteMetadata, align_horizons, by_date, decode_utf8,
+                      read_text)
 from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
                           serialize_ws_csv, ws_schema_text)
 from .providers import (ENV_KEYS, FieldMap, ForecastCache, ProviderMapping,
                         fetch_forecasts, load_provider_mapping,
-                        normalize_payload, records_from_jsonl,
-                        records_to_jsonl)
+                        normalize_payload, records_from_jsonl, records_from_npz,
+                        records_to_jsonl, records_to_npz)
 from . import units
 
 __all__ = [
     "MAX_HORIZON", "PROVIDERS", "AlignedPair", "AlignResult",
     "DailyObservation", "DayTable", "ForecastRecord", "ForecastTable", "ObservationTable",
-    "SiteMetadata", "align_horizons", "by_date", "read_text", "WsSchema", "load_ws_schema",
+    "SiteMetadata", "align_horizons", "by_date", "decode_utf8", "read_text", "WsSchema",
+    "load_ws_schema",
     "parse_ws_csv", "serialize_ws_csv", "ws_schema_text", "ENV_KEYS", "FieldMap",
     "ForecastCache",
     "ProviderMapping", "fetch_forecasts", "load_provider_mapping",
-    "normalize_payload", "records_from_jsonl", "records_to_jsonl", "units",
+    "normalize_payload", "records_from_jsonl", "records_from_npz", "records_to_jsonl",
+    "records_to_npz", "units",
 ]

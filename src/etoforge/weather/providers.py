@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import hashlib
 import io
 import json
 import logging
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -43,7 +45,7 @@ from ..errors import (AuthError, CacheMiss, ProviderSchemaError, RangeError,
                       RateLimited)
 from . import units
 from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastTable,
-                      SiteMetadata, as_table, check_forecast_values)
+                      SiteMetadata, as_table, check_forecast_values, rejected_rows)
 
 log = logging.getLogger(__name__)
 
@@ -248,9 +250,8 @@ def records_to_jsonl(records) -> str:
     iso = np.array([dt.date.fromordinal(d).isoformat() for d in days.tolist()], dtype=object)
     target, issue = np.split(iso[at], 2)
     names = np.array(PROVIDERS, dtype=object)[table.provider]
-    extras = table.sources if table.extras_text else np.array(
-        [_sorted_json(r.extras) for r in table], dtype=object)
-    order = np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
+    extras = _extras_text(table)
+    order = _store_order(table)
     out = io.StringIO()
     # whole-store columns of text would raise the peak RSS; 4,096 lines at a time do not
     for rows in np.split(order, range(4096, len(order), 4096)):
@@ -262,6 +263,92 @@ def records_to_jsonl(records) -> str:
             extras[rows], issue[rows], x["precip"], names[rows], x["rh_avg"], target[rows],
             x["temp_max"], x["temp_min"], x["wind_avg"])]))
     return out.getvalue() or "\n"
+
+
+def _store_order(table: ForecastTable) -> np.ndarray:
+    """The store's row order: by (provider name, target date, issue date), stably."""
+    return np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
+
+
+def _extras_text(table: ForecastTable) -> np.ndarray:
+    """Each row's `extras` as sorted-key JSON text."""
+    if table.extras_text:
+        return table.sources
+    return np.array([_sorted_json(r.extras) for r in table], dtype=object)
+
+
+_COLUMN_KEYS = ("store_sha256", "provider", "target", "issue", "values", "present",
+                "extras", "extras_index")
+
+
+def records_to_npz(records, store: bytes) -> bytes:
+    """The column sidecar of `store`, the UTF-8 bytes of `records_to_jsonl(records)`.
+
+    An `.npz` archive holding, in store row order, the `provider`,
+    `target` and `issue` columns, the field `values` and their `present`
+    masks (one row per field of FORECAST_FIELDS), and each row's extras
+    text as `extras_index` into `extras`, the UTF-8 JSON array of the
+    distinct texts; `store_sha256` is the SHA-256 of `store`. The same
+    records give the same bytes: the archive's members carry no timestamp.
+    """
+    table = as_table(records)
+    order = _store_order(table)
+    distinct = {}
+    index = [distinct.setdefault(text, len(distinct)) for text in _extras_text(table)[order]]
+    out = io.BytesIO()
+    np.savez(out, store_sha256=np.frombuffer(hashlib.sha256(store).digest(), dtype=np.uint8),
+             provider=table.provider[order], target=table.target[order],
+             issue=table.issue[order],
+             values=np.array([table.values[name][order] for name in FORECAST_FIELDS]),
+             present=np.array([table.present[name][order] for name in FORECAST_FIELDS]),
+             extras=np.frombuffer(json.dumps(list(distinct)).encode("utf-8"), dtype=np.uint8),
+             extras_index=np.array(index, dtype=np.int64))
+    return out.getvalue()
+
+
+def records_from_npz(path, store: bytes) -> ForecastTable | None:
+    """The table a column sidecar at `path` holds, if it is valid for `store`.
+
+    Valid means: it is the sidecar :func:`records_to_npz` writes, every
+    member passes its CRC check, its `store_sha256` is the SHA-256 of
+    `store`, its dates are date ordinals, each extras text is a JSON
+    object, and its columns pass the checks :meth:`ForecastTable.from_json`
+    runs. The sidecar `ingest forecast` wrote for `store` then gives the
+    table `records_from_jsonl(store text)` gives, column for column, with
+    each row's extras text as its source (`extras_text`). Otherwise, a
+    missing, stale, truncated or garbled file included, this returns None
+    and never raises. The hash covers the store, not the columns: a sidecar
+    re-packed by hand with other values that pass these checks is read.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            member = {key: np.lib.format.read_array(
+                io.BytesIO(archive.read(key + ".npy")), allow_pickle=False)
+                for key in _COLUMN_KEYS}
+        texts = json.loads(member["extras"].tobytes().decode("utf-8"))
+        extras = [json.loads(text) for text in texts]
+    except Exception:  # any unreadable sidecar only means the store text is parsed
+        return None
+    provider, target, issue, index = (member[key] for key in
+                                      ("provider", "target", "issue", "extras_index"))
+    columns = (member["values"], member["present"])
+    n = target.size
+    if (member["store_sha256"].tobytes() != hashlib.sha256(store).digest()
+            or any(a.dtype != np.int64 or a.shape != (n,)
+                   for a in (provider, target, issue, index))
+            or [a.dtype for a in columns] != [np.float64, np.bool_]
+            or any(a.shape != (len(FORECAST_FIELDS), n) for a in columns)
+            or not (isinstance(texts, list) and all(isinstance(e, dict) for e in extras))
+            or (n and not 0 <= index.min() <= index.max() < len(texts))
+            or (n and not (1 <= min(target.min(), issue.min())
+                           and max(target.max(), issue.max()) <= dt.date.max.toordinal()))):
+        return None
+    values, present = (dict(zip(FORECAST_FIELDS, a)) for a in columns)
+    if rejected_rows(provider, target - issue, values, present).any() \
+            or (member["values"][~member["present"]] != 0.0).any():
+        return None
+    return ForecastTable(provider, target, issue, values, present,
+                         np.array(texts, dtype=object)[index], extras_text=True)
 
 
 def records_from_jsonl(text: str) -> ForecastTable:

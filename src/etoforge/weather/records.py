@@ -301,10 +301,10 @@ class ForecastTable(DayTable):
         one raises the RangeError its ForecastRecord raises, naming
         `rows[i]`.
         """
+        provider = np.array(provider, dtype=np.int64)
         target = np.array(target, dtype=np.int64)
         issue = np.array(issue, dtype=np.int64)
-        horizon = target - issue
-        bad = (horizon < 0) | (horizon > MAX_HORIZON)
+        bad = np.zeros(len(target), dtype=bool)
         values, present = {}, {}
         for name in FORECAST_FIELDS:
             raw = fields[name]
@@ -315,11 +315,8 @@ class ForecastTable(DayTable):
             column = np.array(raw, dtype=object)
             present[name] = column != None  # noqa: E711 - element-wise
             column[~present[name]] = 0.0
-            x = values[name] = column.astype(np.float64)
-            low, high = units.RANGE[units.FIELD_QUANTITY[name]]
-            bad |= present[name] & ~(np.isfinite(x) & (x >= low) & (x <= high))
-        bad |= ~present["temp_max"] | ~present["temp_min"]
-        bad |= values["temp_min"] > values["temp_max"]
+            values[name] = column.astype(np.float64)
+        bad |= rejected_rows(provider, target - issue, values, present)
         if bad.any():
             i = int(np.argmax(bad))
             try:
@@ -331,8 +328,7 @@ class ForecastTable(DayTable):
                                  row=rows[i]) from exc
             raise RangeError("not a stored forecast record: a value does not fit a float",
                              row=rows[i])
-        return cls(np.array(provider, dtype=np.int64), target, issue, values, present,
-                   np.array(sources, dtype=object))
+        return cls(provider, target, issue, values, present, np.array(sources, dtype=object))
 
     @classmethod
     def from_records(cls, records) -> "ForecastTable":
@@ -403,6 +399,19 @@ class ForecastTable(DayTable):
         order, cell = order[first], cell[first]
         return {(PROVIDERS[c // (MAX_HORIZON + 1)], c % (MAX_HORIZON + 1)): order[cell == c]
                 for c in np.unique(cell).tolist()}
+
+
+def rejected_rows(provider, horizon, values, present) -> np.ndarray:
+    """Mask of the rows whose ForecastRecord would raise, checked on whole columns:
+    an unknown provider, a horizon outside 0..MAX_HORIZON, a held value that is
+    not finite or out of range, a missing temperature, or temp_min > temp_max."""
+    bad = (provider < 0) | (provider >= len(PROVIDERS)) | (horizon < 0) | (horizon > MAX_HORIZON)
+    for name in FORECAST_FIELDS:
+        x = values[name]
+        low, high = units.RANGE[units.FIELD_QUANTITY[name]]
+        bad |= present[name] & ~(np.isfinite(x) & (x >= low) & (x <= high))
+    return (bad | ~present["temp_max"] | ~present["temp_min"]
+            | (values["temp_min"] > values["temp_max"]))
 
 
 def _holds_float(value) -> bool:

@@ -197,8 +197,9 @@ def test_criterion_8_pipeline_determinism(tmp_path, synth):
 
     assert set(outputs["first"]) == set(outputs["second"])
     expected = {"observations.csv", "observations.schema", "forecasts.jsonl",
-                "model_et0.json", "model_sr.json", "sweep.csv", "fidelity.csv",
-                "distributions.csv", "usable_horizons.csv", "manifest.json"}
+                "forecasts.npz", "model_et0.json", "model_sr.json", "sweep.csv",
+                "fidelity.csv", "distributions.csv", "usable_horizons.csv",
+                "manifest.json"}
     assert {str(p) for p in outputs["first"]} == expected
     for name in outputs["first"]:
         assert outputs["first"][name] == outputs["second"][name], name

@@ -1,22 +1,28 @@
 """Command-line contract: exit codes, outputs, determinism, calculator."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etoforge
-from etoforge import regressor
+from etoforge import cli, regressor
 from etoforge.cli import main
 from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
                                 write_synthetic_cache)
-from etoforge.weather import ForecastTable, serialize_ws_csv, ws_schema_text
+from etoforge.weather import (ForecastTable, records_from_jsonl, records_from_npz,
+                              records_to_jsonl, records_to_npz, serialize_ws_csv,
+                              ws_schema_text)
 
 from .test_pipelines import _polar_night, _zero_model
 
@@ -341,12 +347,10 @@ def _non_utf8(path):
      _truncate),
     (["predict", "--estimator", "sr_ann", "--source", "ws"], "out/model_sr.json",
      lambda path: path.write_bytes(b"")),
-    (["evaluate"], "out/forecasts.jsonl", _truncate),
     (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _truncate),
     (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _non_utf8),
-    (["evaluate"], "out/forecasts.jsonl", _non_utf8),
-], ids=["truncated-model-predict", "empty-model-predict", "truncated-store-evaluate",
-        "truncated-payload-ingest", "non-utf8-payload-ingest", "non-utf8-store-evaluate"])
+], ids=["truncated-model-predict", "empty-model-predict", "truncated-payload-ingest",
+        "non-utf8-payload-ingest"])
 def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
                                                 command, artifact, corrupt):
     root = tmp_path / "ws"
@@ -439,6 +443,221 @@ def test_station_fault_is_a_typed_data_error(small_ws, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert message in err and "Traceback" not in err
+    assert _file_bytes(root / "out") == before
+
+
+def _sub_line(lineno, pattern, replacement):
+    """A corruption that rewrites the first match of `pattern` in line `lineno` (1-based)."""
+    def edit(lines):
+        line = re.sub(pattern, replacement, lines[lineno - 1], count=1)
+        return lines[:lineno - 1] + [line] + lines[lineno:]
+    return _edit_lines(edit)
+
+
+def _once(corrupt):
+    """A sidecar fault applied once: the generator form every SIDECAR_FAULTS entry has."""
+    def faults(path):
+        corrupt(path)
+        yield
+    return faults
+
+
+def _repacked(path, edit):
+    """Re-pack the sidecar at `path` after `edit(members)`: its store hash
+    still matches the store."""
+    with np.load(path) as archive:
+        members = dict(archive)
+    edit(members)
+    with path.open("wb") as fh:
+        np.savez(fh, **members)
+
+
+def _repack(keys, index, value):
+    """A re-packed sidecar with each member named in `keys` set to
+    `value(members)` at `index`."""
+    def edit(members):
+        for key in keys.split():
+            members[key][index] = value(members)
+    return _once(lambda path: _repacked(path, edit))
+
+
+@_once
+def _extras_not_objects(path):
+    """A re-packed sidecar whose every distinct extras text is `[]`, not a JSON object."""
+    def edit(members):
+        count = len(json.loads(members["extras"].tobytes()))
+        members["extras"] = np.frombuffer(json.dumps(["[]"] * count).encode(), dtype=np.uint8)
+    _repacked(path, edit)
+
+
+@_once
+def _stale_sidecar(path):
+    """The sidecar of another store: every temp_max half a degree warmer."""
+    table = records_from_jsonl((path.parent / "forecasts.jsonl").read_text())
+    warmer = [dataclasses.replace(r, temp_max=r.temp_max + 0.5) for r in table]
+    path.write_bytes(records_to_npz(warmer, records_to_jsonl(warmer).encode()))
+
+
+def _flip_bytes(path):
+    """The sidecar with a byte flipped at each of 64 evenly spaced offsets in turn."""
+    data = path.read_bytes()
+    for offset in np.linspace(0, len(data) - 1, 64).astype(int).tolist():
+        path.write_bytes(data[:offset] + bytes([data[offset] ^ 0xFF]) + data[offset + 1:])
+        yield
+
+
+STORE_FAULTS = {
+    "truncated": (_truncate, "not a stored forecast record"),
+    "emptied": (lambda path: path.write_bytes(b""), "has no records"),
+    "wrong-type": (_sub_line(3, rb'"temp_max": [^,]+', b'"temp_max": "hot"'),
+                   "row 3: not a stored forecast record: TypeError"),
+    "nan": (_sub_line(3, rb'"rh_avg": [^,]+', b'"rh_avg": NaN'),
+            "row 3: not a stored forecast record: RangeError('rh_avg=nan is not a finite"),
+    "non-utf8": (_non_utf8, "is not UTF-8 text"),
+}
+SIDECAR_FAULTS = {
+    "missing": _once(lambda path: path.unlink()),
+    "truncated": _once(_truncate),
+    "empty": _once(lambda path: path.write_bytes(b"")),
+    "random-bytes": _once(lambda path: path.write_bytes(
+        random.Random(5).randbytes(path.stat().st_size))),
+    "stale": _stale_sidecar,
+    "flipped-bytes": _flip_bytes,
+    "out-of-range": _repack("values", (2, 0), lambda m: 150.0),   # rh_avg of row 0
+    "horizon-16": _repack("issue", 0, lambda m: m["target"][0] - 16),
+    "target-0": _repack("target issue", 0, lambda m: 0),        # horizon 0, no date
+    "extras-not-object": _extras_not_objects,
+}
+STORE_READERS = {
+    "evaluate": ["evaluate"],
+    "predict-vc": ["predict", "--estimator", "et0_hyb", "--source", "vc"],
+}
+STORE_CASES = (
+    [(reader, "store", fault, sidecar) for reader in STORE_READERS for fault in STORE_FAULTS
+     for sidecar in ("stale-sidecar", "no-sidecar")]
+    + [(reader, "sidecar", fault, None) for reader in STORE_READERS for fault in SIDECAR_FAULTS])
+
+
+def _command_outputs(small_ws, root, command, capsys):
+    """(exit code, stdout, stderr, out/ files, manifest) of `command` run in the copy
+    at `root`, with the copy's path written as ROOT and the sidecar left out."""
+    capsys.readouterr()
+    code = _run_in_copy(small_ws, root, command)
+    out, err = (text.replace(str(root), "ROOT") for text in capsys.readouterr())
+    files = {p.name: p.read_bytes() for p in (root / "out").iterdir()
+             if p.name not in ("forecasts.npz", "manifest.json")}
+    manifest = json.loads((root / "out" / "manifest.json").read_text())
+    manifest["files"].pop("forecasts.npz", None)
+    return code, out, err, files, manifest
+
+
+@pytest.mark.parametrize(
+    "reader, artifact, fault, sidecar", STORE_CASES,
+    ids=["-".join(filter(None, case)) for case in STORE_CASES])
+def test_forecast_store_fault_matrix(small_ws, tmp_path, capsys,
+                                     reader, artifact, fault, sidecar):
+    """The forecast-store rows of the fault matrix. A broken store fails each
+    reader with one `error:` line, exit 3, writing nothing, whether its (now
+    stale) sidecar is there or not. A broken sidecar beside a valid store is
+    never read: the command exits 0 with the outputs it gives without one."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    command = STORE_READERS[reader]
+    if artifact == "store":
+        corrupt, message = STORE_FAULTS[fault]
+        if sidecar == "no-sidecar":
+            (root / "out" / "forecasts.npz").unlink()
+        corrupt(root / "out" / "forecasts.jsonl")
+        before = _file_bytes(root / "out")
+        capsys.readouterr()
+        assert _run_in_copy(small_ws, root, command) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert message in err and "Traceback" not in err
+        assert _file_bytes(root / "out") == before
+        return
+    base = tmp_path / "base"
+    shutil.copytree(small_ws["root"], base)
+    (base / "out" / "forecasts.npz").unlink()
+    expected = _command_outputs(small_ws, base, command, capsys)
+    assert expected[0] == 0, expected[2]
+    for _ in SIDECAR_FAULTS[fault](root / "out" / "forecasts.npz"):
+        assert _command_outputs(small_ws, root, command, capsys) == expected
+
+
+@pytest.mark.parametrize("fault", ["out-of-range", "horizon-16", "target-0", "extras-not-object"])
+def test_repacked_sidecar_is_not_read(small_ws, tmp_path, fault):
+    """A sidecar re-packed with a value the store parse would reject is not read,
+    though its hash still matches the store."""
+    sidecar = tmp_path / "forecasts.npz"
+    shutil.copy(small_ws["root"] / "out" / "forecasts.npz", sidecar)
+    store = (small_ws["root"] / "out" / "forecasts.jsonl").read_bytes()
+    assert records_from_npz(sidecar, store) is not None
+    for _ in SIDECAR_FAULTS[fault](sidecar):
+        assert records_from_npz(sidecar, store) is None
+
+
+def test_forecast_sidecar_is_byte_stable(small_ws, tmp_path):
+    """Two ingests more than the 2 s resolution of a zip timestamp apart write
+    the same sidecar bytes."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    sidecars = []
+    for pause in (2.1, 0):
+        assert _run_in_copy(small_ws, root, ["ingest", "forecast", "--offline"]) == 0
+        sidecars.append((root / "out" / "forecasts.npz").read_bytes())
+        time.sleep(pause)
+    assert sidecars[0] == sidecars[1]
+    assert sidecars[0] == (small_ws["root"] / "out" / "forecasts.npz").read_bytes()
+
+
+def test_sidecar_table_equals_the_store_parse(big_ws):
+    """The sidecar gives the table the store text parses to, bit for bit."""
+    store = (big_ws["out"] / "forecasts.jsonl").read_bytes()
+    parsed = records_from_jsonl(store.decode("utf-8"))
+    loaded = records_from_npz(big_ws["out"] / "forecasts.npz", store)
+    assert loaded is not None and loaded.extras_text and len(loaded) == len(parsed) > 0
+    for name in ("provider", "target", "issue", "horizon"):
+        a, b = getattr(loaded, name), getattr(parsed, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in parsed.values:
+        for columns in ("values", "present"):
+            a, b = getattr(loaded, columns)[name], getattr(parsed, columns)[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (columns, name)
+    assert loaded.sources.tolist() == [json.dumps(r.extras, sort_keys=True) for r in parsed]
+    assert list(loaded) == list(parsed)
+
+
+def test_valid_sidecar_skips_the_store_parse(small_ws, tmp_path, monkeypatch):
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+
+    def unused(text):
+        raise AssertionError("the store text was parsed")
+
+    monkeypatch.setattr(cli, "records_from_jsonl", unused)
+    for command in STORE_READERS.values():
+        assert _run_in_copy(small_ws, root, command) == 0
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("start_date", "2030-01-01", "start_date=2030-01-01 is after the last observed date "
+                                 "2020-02-09"),
+    ("end_date", "2019-06-01", "end_date=2019-06-01 is before the first observed date "
+                               "2020-01-01"),
+], ids=["start_date", "end_date"])
+def test_range_reversed_against_the_observations_is_usage_error(small_ws, tmp_path, capsys,
+                                                                 key, value, message):
+    """One end of the range configured, the other taken from the ingested
+    observations: a reversed range is a config error naming both."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    before = _file_bytes(root / "out")
+    capsys.readouterr()
+    assert _run_in_copy(small_ws, root, ["ingest", "forecast", "--offline",
+                                         "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert _file_bytes(root / "out") == before
 
 
