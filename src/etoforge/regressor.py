@@ -432,8 +432,9 @@ def load(source) -> MlpModel:
     """Read a model document written by :func:`save`.
 
     Raises VersionMismatch for unknown format versions and CorruptModel
-    when the document is not JSON, the shape chain is broken or
-    parameters are non-finite.
+    when the document is not JSON, a value has the wrong type or does not
+    fit, the shape chain is broken, parameters are non-finite, or a
+    scaler or target std is not finite and positive.
     """
     try:
         if hasattr(source, "read"):
@@ -477,10 +478,14 @@ def load(source) -> MlpModel:
         )
     except CorruptModel:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
     if scaler.mean.shape != (layer_sizes[0],) or scaler.std.shape != (layer_sizes[0],):
         raise CorruptModel("scaler stats do not match the input layer width")
-    if np.any(scaler.std <= 0.0) or not np.all(np.isfinite(scaler.mean)):
+    if not (np.all(np.isfinite(scaler.mean))
+            and np.all((scaler.std > 0.0) & (scaler.std < np.inf))):
         raise CorruptModel("scaler stats are invalid")
+    if not (math.isfinite(model.target_mean) and 0.0 < model.target_std < math.inf):
+        raise CorruptModel(f"target stats are invalid: mean {model.target_mean}, "
+                           f"std {model.target_std}")
     return model

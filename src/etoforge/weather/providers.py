@@ -45,7 +45,8 @@ from ..errors import (AuthError, CacheMiss, ProviderSchemaError, RangeError,
                       RateLimited)
 from . import units
 from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastTable,
-                      SiteMetadata, as_table, check_forecast_values, rejected_rows)
+                      SiteMetadata, as_table, check_forecast_values, rejected_rows,
+                      sorted_json)
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +90,6 @@ _DATE_PARSERS = {  # (raw target date, local-time shift) -> date ordinal
 }
 # what skips one payload entry with a warning
 _ENTRY_ERRORS = (ProviderSchemaError, RangeError, ValueError, TypeError, OverflowError)
-# json.dumps(x, sort_keys=True) without building an encoder per call
-_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _mapping_from_dict(doc: dict) -> ProviderMapping:
@@ -222,14 +221,14 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
         target.append(day)
         for name, column in columns.items():
             column.append(values.get(name))
-        extras.append(_sorted_json({k: v for k, v in entry.items() if k not in mapping.consumed}))
+        extras.append(sorted_json({k: v for k, v in entry.items() if k not in mapping.consumed}))
     x = np.array(list(columns.values()), dtype=np.float64)   # absent (None) -> NaN
     held = ~np.isnan(x)   # a kept value is finite, so NaN only marks an absent one
     return ForecastTable(np.full(len(target), PROVIDERS.index(mapping.provider)),
                          np.array(target, dtype=np.int64), np.full(len(target), issued),
                          dict(zip(FORECAST_FIELDS, np.where(held, x, 0.0))),
                          dict(zip(FORECAST_FIELDS, held)),
-                         np.array(extras, dtype=object), extras_text=True)
+                         np.array(extras, dtype=object))
 
 
 _STORE_LINE = ('{"extras": %s, "issue_date": "%s", "precip": %s, "provider": "%s", '
@@ -250,7 +249,6 @@ def records_to_jsonl(records) -> str:
     iso = np.array([dt.date.fromordinal(d).isoformat() for d in days.tolist()], dtype=object)
     target, issue = np.split(iso[at], 2)
     names = np.array(PROVIDERS, dtype=object)[table.provider]
-    extras = _extras_text(table)
     order = _store_order(table)
     out = io.StringIO()
     # whole-store columns of text would raise the peak RSS; 4,096 lines at a time do not
@@ -260,21 +258,14 @@ def records_to_jsonl(records) -> str:
             column = x[name] = table.values[name][rows].astype(object)
             column[~table.present[name][rows]] = "null"
         out.write("".join([_STORE_LINE % line for line in zip(
-            extras[rows], issue[rows], x["precip"], names[rows], x["rh_avg"], target[rows],
-            x["temp_max"], x["temp_min"], x["wind_avg"])]))
+            table.extras[rows], issue[rows], x["precip"], names[rows], x["rh_avg"],
+            target[rows], x["temp_max"], x["temp_min"], x["wind_avg"])]))
     return out.getvalue() or "\n"
 
 
 def _store_order(table: ForecastTable) -> np.ndarray:
     """The store's row order: by (provider name, target date, issue date), stably."""
     return np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
-
-
-def _extras_text(table: ForecastTable) -> np.ndarray:
-    """Each row's `extras` as sorted-key JSON text."""
-    if table.extras_text:
-        return table.sources
-    return np.array([_sorted_json(r.extras) for r in table], dtype=object)
 
 
 _COLUMN_KEYS = ("store_sha256", "provider", "target", "issue", "values", "present",
@@ -294,7 +285,7 @@ def records_to_npz(records, store: bytes) -> bytes:
     table = as_table(records)
     order = _store_order(table)
     distinct = {}
-    index = [distinct.setdefault(text, len(distinct)) for text in _extras_text(table)[order]]
+    index = [distinct.setdefault(text, len(distinct)) for text in table.extras[order]]
     out = io.BytesIO()
     np.savez(out, store_sha256=np.frombuffer(hashlib.sha256(store).digest(), dtype=np.uint8),
              provider=table.provider[order], target=table.target[order],
@@ -314,11 +305,11 @@ def records_from_npz(path, store: bytes) -> ForecastTable | None:
     `store`, its dates are date ordinals, each extras text is a JSON
     object, and its columns pass the checks :meth:`ForecastTable.from_json`
     runs. The sidecar `ingest forecast` wrote for `store` then gives the
-    table `records_from_jsonl(store text)` gives, column for column, with
-    each row's extras text as its source (`extras_text`). Otherwise, a
-    missing, stale, truncated or garbled file included, this returns None
-    and never raises. The hash covers the store, not the columns: a sidecar
-    re-packed by hand with other values that pass these checks is read.
+    table `records_from_jsonl(store text)` gives, column for column and
+    extras text for extras text. Otherwise, a missing, stale, truncated or
+    garbled file included, this returns None and never raises. The hash
+    covers the store, not the columns: a sidecar re-packed by hand with
+    other values that pass these checks is read.
     """
     try:
         with zipfile.ZipFile(path) as archive:
@@ -348,23 +339,23 @@ def records_from_npz(path, store: bytes) -> ForecastTable | None:
             or (member["values"][~member["present"]] != 0.0).any():
         return None
     return ForecastTable(provider, target, issue, values, present,
-                         np.array(texts, dtype=object)[index], extras_text=True)
+                         np.array(texts, dtype=object)[index])
 
 
 def records_from_jsonl(text: str) -> ForecastTable:
     """Parse a store written by :func:`records_to_jsonl` into one ForecastTable.
 
-    Each line is decoded once: its keys and fields go onto columns, the
-    line itself becomes the row's source, and the decoded object is
-    dropped. The record checks then run on whole columns. A line that is
-    not one valid stored record (a truncated or hand-edited store, text
-    after the object, a record failing its checks) raises RangeError
-    naming the first such line.
+    Each line is decoded once: its fields go onto columns, its `extras`
+    object is re-encoded as the sorted-key text the store was written from,
+    and the record checks then run on whole columns. A line that is not one
+    valid stored record (a truncated or hand-edited store, text after the
+    object, `extras` that is not an object, a record failing its checks)
+    raises RangeError naming the first such line.
     """
     decode = json.JSONDecoder().raw_decode
     codes = {provider: i for i, provider in enumerate(PROVIDERS)}
     ordinal = functools.cache(lambda iso: dt.date.fromisoformat(iso).toordinal())
-    rows, lines, provider, target, issue = [], [], [], [], []
+    rows, extras, provider, target, issue = [], [], [], [], []
     fields = {name: [] for name in FORECAST_FIELDS}
     failure = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -379,17 +370,20 @@ def records_from_jsonl(text: str) -> ForecastTable:
             if code is None:
                 raise ValueError(f"unknown provider {doc['provider']!r}")
             days = ordinal(doc["target_date"]), ordinal(doc["issue_date"])
+            more = doc.get("extras", {})
+            if not isinstance(more, dict):
+                raise ValueError(f"extras is a JSON {type(more).__name__}, not an object")
         except (ValueError, KeyError, TypeError) as exc:
             failure = lineno, exc
             break
         rows.append(lineno)
-        lines.append(line)
+        extras.append(sorted_json(more))
         provider.append(code)
         target.append(days[0])
         issue.append(days[1])
         for name, column in fields.items():
             column.append(doc.get(name))
-    table = ForecastTable.from_json(provider, target, issue, fields, lines, rows)
+    table = ForecastTable.from_json(provider, target, issue, fields, extras, rows)
     if failure is not None:
         lineno, exc = failure
         raise RangeError(f"not a stored forecast record: {exc!r}", row=lineno) from exc

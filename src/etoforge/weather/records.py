@@ -195,6 +195,8 @@ OBSERVATION_FIELDS = tuple(f.name for f in fields(DailyObservation))[1:]
 _FLOAT_OR_ABSENT = {float, type(None)}
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _NO_ROWS = np.zeros(0, dtype=np.intp)
+# json.dumps(x, sort_keys=True) without building an encoder per call
+sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 class DayTable:
@@ -271,35 +273,31 @@ class ForecastTable(DayTable):
     `issue` hold date ordinals and `horizon` their difference. `values`
     has one column per field of FORECAST_FIELDS. An absent value is stored
     as 0.0 behind its mask, never as NaN, so a stored NaN still fails the
-    checks.
-    `sources[i]` is what the row view `table[i]` (a ForecastRecord) is
-    made from: the record the table was built of, its store line, or
-    (`extras_text`, an ingested payload's rows) its `extras` as
-    sorted-key JSON text, decoded only then.
+    checks. `extras[i]` is row i's `extras` as sorted-key JSON text; the
+    row view `table[i]` is a new ForecastRecord made from the columns and
+    that text, decoded only then.
     """
 
-    def __init__(self, provider, target, issue, values, present, sources, dates=None,
-                 extras_text=False):
+    def __init__(self, provider, target, issue, values, present, extras, dates=None):
         self.provider = provider
         self.target = self.day = target
         self.issue = issue
         self.horizon = target - issue
         self.values = values
         self.present = present
-        self.sources = sources
-        self.extras_text = extras_text
+        self.extras = extras
         self._dates = {} if dates is None else dates
         self._cells = None
 
     @classmethod
-    def from_json(cls, provider, target, issue, fields, sources, rows):
+    def from_json(cls, provider, target, issue, fields, extras, rows):
         """A table of decoded JSON columns, checked as ForecastRecord checks a record.
 
         `provider`, `target` and `issue` list provider indices and date
         ordinals; `fields[name]` lists each row's JSON value, None where
-        absent. The checks run on whole columns; the first row that fails
-        one raises the RangeError its ForecastRecord raises, naming
-        `rows[i]`.
+        absent, and `extras` each row's extras text. The checks run on
+        whole columns; the first row that fails one raises the RangeError
+        its ForecastRecord raises, naming `rows[i]`.
         """
         provider = np.array(provider, dtype=np.int64)
         target = np.array(target, dtype=np.int64)
@@ -328,42 +326,35 @@ class ForecastTable(DayTable):
                                  row=rows[i]) from exc
             raise RangeError("not a stored forecast record: a value does not fit a float",
                              row=rows[i])
-        return cls(provider, target, issue, values, present, np.array(sources, dtype=object))
+        return cls(provider, target, issue, values, present, np.array(extras, dtype=object))
 
     @classmethod
     def from_records(cls, records) -> "ForecastTable":
-        """The table of `records`; each row view is its record itself."""
+        """The table of `records` (JSON-serialisable `extras`); row views equal them."""
         records = list(records)
         return cls.from_json([PROVIDERS.index(r.provider) for r in records],
                              [r.target_date.toordinal() for r in records],
                              [r.issue_date.toordinal() for r in records],
                              {name: [getattr(r, name) for r in records]
                               for name in FORECAST_FIELDS},
-                             records, range(len(records)))
+                             [sorted_json(r.extras) for r in records], range(len(records)))
 
     @classmethod
     def concat(cls, tables) -> "ForecastTable":
-        """The rows of `tables`, one table after another; all must hold one kind of source."""
+        """The rows of `tables`, one table after another."""
         if not tables:
             return cls.from_records([])
-        if len({t.extras_text for t in tables}) > 1:
-            raise ValueError("cannot join tables of extras text and of store lines or records")
         def cat(pick):
             return np.concatenate([pick(t) for t in tables])
         return cls(cat(lambda t: t.provider), cat(lambda t: t.target), cat(lambda t: t.issue),
                    {name: cat(lambda t: t.values[name]) for name in FORECAST_FIELDS},
                    {name: cat(lambda t: t.present[name]) for name in FORECAST_FIELDS},
-                   cat(lambda t: t.sources), extras_text=tables[0].extras_text)
+                   cat(lambda t: t.extras))
 
     def __getitem__(self, i) -> ForecastRecord:
-        source = self.sources[i]
-        if isinstance(source, ForecastRecord):
-            return source
-        extras = json.loads(source)
         return ForecastRecord(
             provider=PROVIDERS[self.provider[i]], target_date=self.date(self.target[i]),
-            issue_date=self.date(self.issue[i]),
-            extras=extras if self.extras_text else extras.get("extras", {}),
+            issue_date=self.date(self.issue[i]), extras=json.loads(self.extras[i]),
             **{name: float(self.values[name][i]) if self.present[name][i] else None
                for name in FORECAST_FIELDS})
 
@@ -376,7 +367,7 @@ class ForecastTable(DayTable):
         return ForecastTable(self.provider[rows], self.target[rows], self.issue[rows],
                              {name: v[rows] for name, v in self.values.items()},
                              {name: p[rows] for name, p in self.present.items()},
-                             self.sources[rows], self._dates, self.extras_text)
+                             self.extras[rows], self._dates)
 
     def cell(self, provider: str, horizon: int) -> np.ndarray:
         """Rows of one (provider, horizon) cell by ascending target date, one per date.

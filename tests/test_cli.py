@@ -343,14 +343,9 @@ def _non_utf8(path):
 
 
 @pytest.mark.parametrize("command, artifact, corrupt", [
-    (["predict", "--estimator", "et0_hyb", "--source", "vc"], "out/model_sr.json",
-     _truncate),
-    (["predict", "--estimator", "sr_ann", "--source", "ws"], "out/model_sr.json",
-     lambda path: path.write_bytes(b"")),
     (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _truncate),
     (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _non_utf8),
-], ids=["truncated-model-predict", "empty-model-predict", "truncated-payload-ingest",
-        "non-utf8-payload-ingest"])
+], ids=["truncated-payload-ingest", "non-utf8-payload-ingest"])
 def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
                                                 command, artifact, corrupt):
     root = tmp_path / "ws"
@@ -373,6 +368,18 @@ def _run_in_copy(small_ws, root, command):
 
 def _file_bytes(directory):
     return {p: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def _assert_typed_failure(small_ws, root, command, message, capsys):
+    """`command`, run in the copy at `root`, exits 3 with one `error:` line
+    holding `message`, no traceback, and leaves `out/` byte for byte as it was."""
+    before = _file_bytes(root / "out")
+    capsys.readouterr()
+    assert _run_in_copy(small_ws, root, command) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert message in err and "Traceback" not in err
+    assert _file_bytes(root / "out") == before
 
 
 def _edit_lines(edit):
@@ -437,13 +444,7 @@ def test_station_fault_is_a_typed_data_error(small_ws, tmp_path, capsys,
     faults = STATION_SCHEMA_FAULTS if artifact.endswith(".schema") else STATION_CSV_FAULTS
     corrupt, message = faults[fault]
     corrupt(root / artifact)
-    before = _file_bytes(root / "out")
-    capsys.readouterr()
-    assert _run_in_copy(small_ws, root, STATION_READERS[reader]) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    assert message in err and "Traceback" not in err
-    assert _file_bytes(root / "out") == before
+    _assert_typed_failure(small_ws, root, STATION_READERS[reader], message, capsys)
 
 
 def _sub_line(lineno, pattern, replacement):
@@ -514,6 +515,10 @@ STORE_FAULTS = {
     "nan": (_sub_line(3, rb'"rh_avg": [^,]+', b'"rh_avg": NaN'),
             "row 3: not a stored forecast record: RangeError('rh_avg=nan is not a finite"),
     "non-utf8": (_non_utf8, "is not UTF-8 text"),
+    "extras-not-object": (_sub_line(3, rb'^\{"extras": \{.*?\}, "issue_date"',
+                                    b'{"extras": [], "issue_date"'),
+                          "row 3: not a stored forecast record: ValueError('extras is a JSON "
+                          "list, not an object')"),
 }
 SIDECAR_FAULTS = {
     "missing": _once(lambda path: path.unlink()),
@@ -568,13 +573,7 @@ def test_forecast_store_fault_matrix(small_ws, tmp_path, capsys,
         if sidecar == "no-sidecar":
             (root / "out" / "forecasts.npz").unlink()
         corrupt(root / "out" / "forecasts.jsonl")
-        before = _file_bytes(root / "out")
-        capsys.readouterr()
-        assert _run_in_copy(small_ws, root, command) == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        assert message in err and "Traceback" not in err
-        assert _file_bytes(root / "out") == before
+        _assert_typed_failure(small_ws, root, command, message, capsys)
         return
     base = tmp_path / "base"
     shutil.copytree(small_ws["root"], base)
@@ -597,6 +596,49 @@ def test_repacked_sidecar_is_not_read(small_ws, tmp_path, fault):
         assert records_from_npz(sidecar, store) is None
 
 
+def _sub(pattern, replacement):
+    """A corruption that rewrites the first match of `pattern` in a file."""
+    def corrupt(path):
+        path.write_bytes(re.sub(pattern, replacement, path.read_bytes(), count=1))
+    return corrupt
+
+
+MODEL_FAULTS = {
+    "truncated": (_truncate, "model document is not valid JSON"),
+    "empty": (lambda path: path.write_bytes(b""), "model document is not valid JSON"),
+    "wrong-type": (_sub(rb'"target_mean": ("[^"]*")', rb'"target_mean": [\1]'),
+                   "malformed model document: float() argument"),
+    "nan-target-std": (_sub(rb'"target_std": "[^"]*"', b'"target_std": NaN'),
+                       "target stats are invalid: mean"),
+    "layer-size-1e400": (_sub(rb'"layer_sizes": \[\s*\d+', b'"layer_sizes": [1e400'),
+                         "malformed model document: cannot convert float infinity"),
+    "non-utf8": (_non_utf8, "model document is not valid JSON"),
+}
+MODEL_READERS = {
+    "model_et0.json": {"evaluate": ["evaluate"],
+                       "predict-et0_ann": ["predict", "--estimator", "et0_ann",
+                                           "--source", "ws"]},
+    "model_sr.json": {"evaluate": ["evaluate"],
+                      "predict-sr_ann": ["predict", "--estimator", "sr_ann", "--source", "ws"],
+                      "predict-et0_hyb": ["predict", "--estimator", "et0_hyb",
+                                          "--source", "vc"]},
+}
+MODEL_CASES = [(reader, model, fault) for model, readers in MODEL_READERS.items()
+               for reader in readers for fault in MODEL_FAULTS]
+
+
+@pytest.mark.parametrize("reader, model, fault", MODEL_CASES,
+                         ids=["-".join(case) for case in MODEL_CASES])
+def test_model_file_fault_matrix(small_ws, tmp_path, capsys, reader, model, fault):
+    """The model-file rows of the fault matrix: each command that reads a model
+    fails on a broken one with one `error:` line, exit 3, and writes nothing."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    corrupt, message = MODEL_FAULTS[fault]
+    corrupt(root / "out" / model)
+    _assert_typed_failure(small_ws, root, MODEL_READERS[model][reader], message, capsys)
+
+
 def test_forecast_sidecar_is_byte_stable(small_ws, tmp_path):
     """Two ingests more than the 2 s resolution of a zip timestamp apart write
     the same sidecar bytes."""
@@ -616,7 +658,7 @@ def test_sidecar_table_equals_the_store_parse(big_ws):
     store = (big_ws["out"] / "forecasts.jsonl").read_bytes()
     parsed = records_from_jsonl(store.decode("utf-8"))
     loaded = records_from_npz(big_ws["out"] / "forecasts.npz", store)
-    assert loaded is not None and loaded.extras_text and len(loaded) == len(parsed) > 0
+    assert loaded is not None and len(loaded) == len(parsed) > 0
     for name in ("provider", "target", "issue", "horizon"):
         a, b = getattr(loaded, name), getattr(parsed, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -624,7 +666,7 @@ def test_sidecar_table_equals_the_store_parse(big_ws):
         for columns in ("values", "present"):
             a, b = getattr(loaded, columns)[name], getattr(parsed, columns)[name]
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (columns, name)
-    assert loaded.sources.tolist() == [json.dumps(r.extras, sort_keys=True) for r in parsed]
+    assert loaded.extras.tolist() == parsed.extras.tolist()
     assert list(loaded) == list(parsed)
 
 

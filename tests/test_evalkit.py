@@ -196,7 +196,7 @@ def test_aligned_cells_equal_align_horizons(synth):
             ordered, table, ("VC", "OWM"), range(16)):
         reference = align_horizons(observations, forecasts[provider], horizon)
         assert [ordered[i].date for i in matched] == [p.date for p in reference.pairs]
-        assert all(ordered[i] is p.observed and table[r] is p.forecast
+        assert all(ordered[i] is p.observed and table[r] == p.forecast
                    for i, r, p in zip(matched, rows, reference.pairs, strict=True))
         assert coverage == reference.coverage
         seen += 1

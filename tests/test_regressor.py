@@ -313,6 +313,24 @@ def test_nonfinite_weight_rejected():
         load(io.StringIO(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("target_mean", "nan"), ("target_mean", "inf"), ("target_std", "nan"),
+    ("target_std", "inf"), ("target_std", "0"), ("target_std", "-1"),
+    ("std", "nan"), ("std", "inf"), ("std", "0"), ("mean", "-inf"),
+])
+def test_bad_scaler_or_target_stats_rejected(key, value):
+    """Stats `train` never writes: each would scale every prediction to NaN or inf."""
+    buf = io.StringIO()
+    save(_quick_model(), buf)
+    doc = json.loads(buf.getvalue())
+    if key in ("mean", "std"):
+        doc["scaler"][key][0] = value
+    else:
+        doc["scaler"][key] = value
+    with pytest.raises(CorruptModel):
+        load(io.StringIO(json.dumps(doc)))
+
+
 def test_future_format_version_rejected():
     model = _quick_model()
     buf = io.StringIO()

@@ -1,12 +1,14 @@
 """The store writer is byte-identical to one sorted-key json.dumps per record."""
 
 import datetime as dt
+import io
 import json
 
 import pytest
 
 from etoforge.weather import (ForecastRecord, ForecastTable, load_provider_mapping,
-                              normalize_payload, records_to_jsonl)
+                              normalize_payload, records_from_jsonl, records_from_npz,
+                              records_to_jsonl, records_to_npz)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -80,7 +82,16 @@ def test_store_writer_is_byte_identical_to_json_dumps(rows):
                           mappings[p])
         for (p, issued), entries in payloads.items()])
     records = [r for group in expected.values() for r in group]
-    assert records_to_jsonl(table) == _oracle(records)
+    store = records_to_jsonl(table)
+    assert store == _oracle(records)
+
+    # a parsed store's extras re-encode to the ingested texts, through the text and the sidecar
+    assert records_to_jsonl(records_from_jsonl(store)) == store
+    data = store.encode("utf-8")
+    loaded = records_from_npz(io.BytesIO(records_to_npz(table, data)), data)
+    in_store_order = sorted(range(len(table)), key=lambda i: (
+        table[i].provider, table.target[i], table.issue[i]))
+    assert loaded.extras.tolist() == table.extras[in_store_order].tolist()
 
     # the same records as a list, some without humidity and wind, in reverse order
     records = [ForecastRecord(**{**vars(r), "rh_avg": None, "wind_avg": None})

@@ -303,8 +303,10 @@ def test_align_shares_no_records_between_horizons():
     days = [D(2022, 6, 1) + dt.timedelta(days=i) for i in range(6)]
     observations = [_obs(d) for d in days]
     forecasts = [_fc(d, horizon=h) for d in days for h in range(6)]
-    at2 = {id(p.forecast) for p in align_horizons(observations, forecasts, 2).pairs}
-    at5 = {id(p.forecast) for p in align_horizons(observations, forecasts, 5).pairs}
+    def keys(horizon):
+        return {(p.forecast.target_date, p.forecast.issue_date)
+                for p in align_horizons(observations, forecasts, horizon).pairs}
+    at2, at5 = keys(2), keys(5)
     assert at2 and at5 and not (at2 & at5)
 
 
@@ -521,8 +523,12 @@ def test_concat_keeps_one_kind_of_source():
                                  D(2022, 6, 1), load_provider_mapping("VC"))
     joined = ForecastTable.concat([ingested, ingested])
     assert [r.extras for r in joined] == [{"uvindex": 8}] * 2
-    with pytest.raises(ValueError):
-        ForecastTable.concat([ingested, records_from_jsonl(records_to_jsonl(ingested))])
+    other = ForecastRecord("OWM", D(2022, 6, 2), D(2022, 6, 1), 25.0, 15.0,
+                           extras={"pop": 0.5, "clouds": {"all": 20}})
+    parsed = records_from_jsonl(records_to_jsonl([other]))
+    mixed = ForecastTable.concat([ingested, parsed])
+    assert mixed.extras.tolist() == ['{"uvindex": 8}', '{"clouds": {"all": 20}, "pop": 0.5}']
+    assert [r.extras for r in mixed] == [{"uvindex": 8}, {"clouds": {"all": 20}, "pop": 0.5}]
 
 
 def test_mapping_is_compiled_at_load():
