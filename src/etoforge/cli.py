@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
-from .errors import EmptyInput, EtoforgeError, MissingCells
+from .errors import CorruptModel, EmptyInput, EtoforgeError, MissingCells, VersionMismatch
 from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, WsSchema, decode_utf8,
                       fetch_forecasts, load_ws_schema, parse_ws_csv, records_from_jsonl,
                       records_from_npz, records_to_jsonl, records_to_npz,
@@ -92,7 +92,10 @@ def _load_model(cfg, target: str):
     if not path.is_file():
         raise ConfigError(f"model file missing: {path}; run `train --target "
                           f"{target.lower()}` first")
-    return regressor.load(path)
+    try:
+        return regressor.load(path)
+    except (CorruptModel, VersionMismatch) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # --- commands ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import EtoforgeError
-from .fao56 import HUMIDITY_MODES
+from .fao56 import HUMIDITY_MODES, wind_profile_holds
 from .pipelines import FEATURE_NAMES
 from .regressor import ACTIVATIONS, TrainConfig
 from .weather.providers import tz_shift
@@ -184,9 +184,9 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
         raise ConfigError(f"mape_threshold={cfg.mape_threshold} must be >= 0")
     if cfg.start_date and cfg.end_date and cfg.start_date > cfg.end_date:
         raise ConfigError(f"start_date={cfg.start_date} is after end_date={cfg.end_date}")
-    if cfg.forecast_wind_height is not None and not 0.0 < cfg.forecast_wind_height < math.inf:
+    if cfg.forecast_wind_height is not None and not wind_profile_holds(cfg.forecast_wind_height):
         raise ConfigError(f"forecast_wind_height={cfg.forecast_wind_height} "
-                          f"must be finite and > 0")
+                          "must be finite and above 0.0947 m")
     try:
         if cfg.tz_offset_hours is not None:
             tz_shift(cfg.tz_offset_hours)

@@ -25,7 +25,7 @@ from . import pipelines
 from .errors import (DegenerateActuals, EmptyInput, LengthMismatch,
                      MissingCells, NoModels, NonFinite, RangeError)
 from .pipelines import ESTIMATORS, TARGET_ET0, TARGET_SR, ModelBundle
-from .weather.records import MAX_HORIZON, PROVIDERS, as_table, by_date, join_dates
+from .weather.records import MAX_HORIZON, PROVIDERS, as_table, by_date, join_days
 
 MAPE_EPSILON = {TARGET_ET0: 0.05, TARGET_SR: 1.0}
 UNITS_NOTE = {TARGET_ET0: "mm/day", TARGET_SR: "W/m2"}
@@ -109,7 +109,7 @@ def metrics(actual, predicted, *, mape_epsilon: float = 1e-9,
                         n=n, mape_excluded=excluded, units=units)
 
 
-_CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, RangeError)
+_CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, *pipelines.HYBRID_ERRORS)
 
 
 def _aligned_cells(ordered, table, providers, horizons):
@@ -120,7 +120,7 @@ def _aligned_cells(ordered, table, providers, horizons):
     """
     for provider in providers:
         for horizon in horizons:
-            yield (provider, horizon, *join_dates(table, ordered.day, horizon, (provider,)))
+            yield (provider, horizon, *join_days(table, ordered.day, horizon, (provider,)))
 
 
 @dataclass(frozen=True)
@@ -186,11 +186,11 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
     Inference only: models are read, never retrained, and both must be
     given (NoModels otherwise). The station targets are computed once and
     indexed by date; each cell is scored by one pipelines.estimate call,
-    on its matched dates whose forecast carries humidity and wind. Cells
-    with fewer than two matched dates, or that fail metric preconditions,
-    are left out and listed in `omissions` with the reason; the sweep
-    itself never aborts on a cell. The per-day absolute errors of every
-    scored cell are kept in `errors` (see :func:`error_distribution`).
+    on its matched dates whose forecast carries humidity and wind. Cells with
+    fewer than two matched dates, that fail metric preconditions, or (ET0_HYB)
+    whose physics rejects a day are left out and listed in `omissions` with the
+    reason; the sweep never aborts on a cell. The per-day absolute errors of
+    every scored cell are kept in `errors` (see :func:`error_distribution`).
     """
     if models.et0_model is None or models.sr_model is None:
         raise NoModels("the sweep needs trained ET0 and SR models")
@@ -209,8 +209,8 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
         for estimator in ESTIMATORS:
             key = (horizon, provider, estimator)
             kind = TARGET_SR if estimator == "SR_ANN" else TARGET_ET0
-            predicted, _ = estimates[estimator]
             try:
+                predicted, _ = estimates[estimator]
                 actual = targets[kind][positions]
                 errors[key] = list(zip(dates, np.abs(actual - predicted).tolist()))
                 if matched.size < 2:

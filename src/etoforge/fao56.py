@@ -215,10 +215,15 @@ def net_radiation(solar_rad, ra, ea, temp_max, temp_min, elevation) -> NetRadiat
                         rnl=_unwrap(rnl, *inputs), rso=_unwrap(rso, *inputs))
 
 
+def wind_profile_holds(height):
+    """Where the log profile of wind_to_2m holds: finite heights above about 0.0947 m."""
+    return (67.8 * np.asarray(height) - 5.42 > 1.0) & (np.asarray(height) < np.inf)
+
+
 def wind_to_2m(u, height):
     """Wind speed at 2 m from a measurement at `height` m (log profile)."""
     _reject(np.asarray(u) < 0.0, RangeError, "wind speed u={} must be non-negative", u)
-    _reject(67.8 * np.asarray(height) - 5.42 <= 1.0, DomainError,
+    _reject(~wind_profile_holds(height), DomainError,
             "wind profile undefined at measurement height {} m", height)
     return _unwrap(_column(u) * 4.87 / np.log(67.8 * _column(height) - 5.42), u, height)
 

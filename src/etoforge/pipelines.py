@@ -32,6 +32,7 @@ from .weather.records import (DayTable, ForecastRecord, ForecastTable, Observati
 FEATURE_NAMES = ("temp_max", "temp_min", "rh_avg", "wind_avg",
                  "doy_sin", "doy_cos", "ra")
 ESTIMATORS = ("ET0_ANN", "ET0_HYB", "SR_ANN")
+HYBRID_ERRORS = (DomainError, MissingField, RangeError)   # what reading ET0_HYB may raise
 TARGET_ET0 = "ET0"
 TARGET_SR = "SR"
 
@@ -259,7 +260,7 @@ def estimate(bundle: ModelBundle, records, site: SiteMetadata,
         try:
             physics = _physics_et0(fields, sr, site, "average", wind_height)
             out["ET0_HYB"] = physics.et0, sr_clamped | physics.clamped
-        except (DomainError, MissingField, RangeError) as exc:
+        except HYBRID_ERRORS as exc:
             out["ET0_HYB"] = exc
     return Estimates(out)
 

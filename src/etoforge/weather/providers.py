@@ -181,7 +181,7 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
     naming the provider and issue date. Entries whose horizon falls outside
     0..MAX_HORIZON are dropped silently (providers may include the previous
     local day); any other entry a ForecastRecord would reject, or whose
-    value is not a number a float holds, is skipped with a warning.
+    value is a boolean or not a number a float holds, is skipped with a warning.
     Unmapped entry keys are kept as `extras` JSON text. A `tz_offset_hours`
     that is not finite or lies beyond +/- 24 hours raises RangeError.
     """
@@ -213,6 +213,8 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
                     raise ProviderSchemaError(
                         f"{mapping.provider} {issue_date}->{dt.date.fromordinal(day)}: "
                         f"missing {'.'.join(fm.keys)!r}")
+                if raw is True or raw is False:
+                    raise TypeError(f"{'.'.join(fm.keys)!r} is a boolean, not a number")
                 values[name] = None if raw is None else fm.convert(float(raw))
             check_forecast_values(**values)
         except _ENTRY_ERRORS as exc:

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .. import fao56
 from ..errors import FeatureMismatch, MissingField, RangeError
 from . import units
 
@@ -56,8 +57,9 @@ class SiteMetadata:
             raise RangeError(f"longitude={self.longitude} outside +/- 180 degrees")
         if not math.isfinite(self.elevation):
             raise RangeError("elevation must be finite")
-        if not 0.0 < self.wind_sensor_height < math.inf:
-            raise RangeError(f"wind_sensor_height={self.wind_sensor_height} must be finite and > 0")
+        if not fao56.wind_profile_holds(self.wind_sensor_height):
+            raise RangeError(f"wind_sensor_height={self.wind_sensor_height} must be finite and "
+                             "above 0.0947 m")
 
     @property
     def latitude_rad(self) -> float:
@@ -70,7 +72,7 @@ class SiteMetadata:
 
 
 def _require_range(name, value):
-    if value is None or not math.isfinite(value):
+    if value is None or value is True or value is False or not math.isfinite(value):
         raise RangeError(f"{name}={value} is not a finite number")
     low, high = units.RANGE[units.FIELD_QUANTITY[name]]
     if value < low:
@@ -202,8 +204,7 @@ sorted_json = json.JSONEncoder(sort_keys=True).encode
 class DayTable:
     """Rows of daily records as columns: the date ordinal `day` of each row, one
     float64 column `values[name]` per field and the mask `present[name]` of the
-    rows that carry it. `table[i]` is row i's record; `dates` share one `date`
-    object per ordinal."""
+    rows that carry it. `table[i]` is row i's record."""
 
     def __len__(self) -> int:
         return len(self.day)
@@ -211,18 +212,10 @@ class DayTable:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def date(self, ordinal) -> dt.date:
-        """The one `date` object this table's views use for `ordinal`."""
-        ordinal = int(ordinal)
-        day = self._dates.get(ordinal)
-        if day is None:
-            day = self._dates[ordinal] = dt.date.fromordinal(ordinal)
-        return day
-
     @functools.cached_property
     def dates(self) -> list:
         """Each row's date."""
-        return [self.date(o) for o in self.day.tolist()]
+        return list(map(dt.date.fromordinal, self.day.tolist()))
 
     @functools.cached_property
     def day_of_year(self) -> np.ndarray:
@@ -250,7 +243,6 @@ class ObservationTable(DayTable):
         self.values = {name: np.array([getattr(r, name) for r in self.records], dtype=np.float64)
                        for name in OBSERVATION_FIELDS}
         self.present = {name: ~np.isnan(x) for name, x in self.values.items()}
-        self._dates = {}
 
     def __getitem__(self, i) -> DailyObservation:
         return self.records[i]
@@ -278,7 +270,7 @@ class ForecastTable(DayTable):
     that text, decoded only then.
     """
 
-    def __init__(self, provider, target, issue, values, present, extras, dates=None):
+    def __init__(self, provider, target, issue, values, present, extras):
         self.provider = provider
         self.target = self.day = target
         self.issue = issue
@@ -286,7 +278,6 @@ class ForecastTable(DayTable):
         self.values = values
         self.present = present
         self.extras = extras
-        self._dates = {} if dates is None else dates
         self._cells = None
 
     @classmethod
@@ -322,8 +313,7 @@ class ForecastTable(DayTable):
                                dt.date.fromordinal(issue[i]),
                                **{name: fields[name][i] for name in FORECAST_FIELDS})
             except (OverflowError, RangeError, TypeError) as exc:
-                raise RangeError(f"not a stored forecast record: {exc!r}",
-                                 row=rows[i]) from exc
+                raise RangeError(f"not a stored forecast record: {exc!r}", row=rows[i]) from exc
             raise RangeError("not a stored forecast record: a value does not fit a float",
                              row=rows[i])
         return cls(provider, target, issue, values, present, np.array(extras, dtype=object))
@@ -353,8 +343,8 @@ class ForecastTable(DayTable):
 
     def __getitem__(self, i) -> ForecastRecord:
         return ForecastRecord(
-            provider=PROVIDERS[self.provider[i]], target_date=self.date(self.target[i]),
-            issue_date=self.date(self.issue[i]), extras=json.loads(self.extras[i]),
+            PROVIDERS[self.provider[i]], dt.date.fromordinal(self.target[i]),
+            dt.date.fromordinal(self.issue[i]), extras=json.loads(self.extras[i]),
             **{name: float(self.values[name][i]) if self.present[name][i] else None
                for name in FORECAST_FIELDS})
 
@@ -363,11 +353,11 @@ class ForecastTable(DayTable):
         return sorted(PROVIDERS[code] for code in np.unique(self.provider).tolist())
 
     def take(self, rows) -> "ForecastTable":
-        """The table of `rows` (indices into this one), sharing its dates."""
+        """The table of `rows` (indices into this one)."""
         return ForecastTable(self.provider[rows], self.target[rows], self.issue[rows],
                              {name: v[rows] for name, v in self.values.items()},
                              {name: p[rows] for name, p in self.present.items()},
-                             self.extras[rows], self._dates)
+                             self.extras[rows])
 
     def cell(self, provider: str, horizon: int) -> np.ndarray:
         """Rows of one (provider, horizon) cell by ascending target date, one per date.
@@ -407,8 +397,7 @@ def rejected_rows(provider, horizon, values, present) -> np.ndarray:
 
 def _holds_float(value) -> bool:
     """Whether a stored JSON value is absent (None) or a number a float64 holds."""
-    return value is None or (type(value) in (float, int, bool)
-                             and abs(value) <= sys.float_info.max)
+    return value is None or (type(value) in (float, int) and abs(value) <= sys.float_info.max)
 
 
 def as_table(forecasts) -> ForecastTable:
@@ -418,7 +407,7 @@ def as_table(forecasts) -> ForecastTable:
     return ForecastTable.from_records(forecasts)
 
 
-def join_dates(table: ForecastTable, ordinals, horizon, providers):
+def join_days(table: ForecastTable, ordinals, horizon, providers):
     """Join date ordinals to the horizon-`horizon` forecasts of `table`.
 
     Returns (positions in `ordinals`, table rows, coverage), one binary
@@ -452,7 +441,7 @@ def align_horizons(observations, forecasts, horizon) -> AlignResult:
     """
     table = as_table(forecasts)
     ordered = by_date(observations)
-    matched, rows, coverage = join_dates(table, ordered.day, horizon, table.providers())
+    matched, rows, coverage = join_days(table, ordered.day, horizon, table.providers())
     pairs = [AlignedPair(date=ordered[i].date, observed=ordered[i], forecast=table[r])
              for i, r in zip(matched.tolist(), rows.tolist())]
     return AlignResult(pairs=pairs, coverage=coverage,

@@ -154,6 +154,13 @@ def test_ingest_forecast_reports_horizon_range(tmp_path, synth, capsys):
             "15-16 horizons per date") in capsys.readouterr().out
 
 
+def _run_cli(argv):
+    """`etoforge argv` in a fresh interpreter, as a user runs it, with its output as text."""
+    env = {**os.environ, "PYTHONPATH": str(Path(etoforge.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "etoforge.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_oversized_numbers_in_cached_payloads_are_skipped(tmp_path, synth):
     site, observations, forecasts = synth
     _write_inputs(tmp_path, observations[:20], forecasts["VC"][:320] + forecasts["OWM"][:320])
@@ -165,10 +172,7 @@ def test_oversized_numbers_in_cached_payloads_are_skipped(tmp_path, synth):
         path.write_text(json.dumps(doc).replace('"OVERSIZED"', value))
     cfg = _config(tmp_path, tmp_path / "out", site, start_date=observations[0].date,
                   end_date=observations[19].date)
-    env = {**os.environ, "PYTHONPATH": str(Path(etoforge.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-m", "etoforge.cli", "ingest", "forecast",
-                           "--offline", "--config", str(cfg)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _run_cli(["ingest", "forecast", "--offline", "--config", str(cfg)])
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert f"skipping VC entry issued {issued}: int too large to convert to float" \
@@ -342,28 +346,17 @@ def _non_utf8(path):
     path.write_bytes(data[:len(data) // 2] + b"\xff\xfe" + data[len(data) // 2:])
 
 
-@pytest.mark.parametrize("command, artifact, corrupt", [
-    (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _truncate),
-    (["ingest", "forecast", "--offline"], "cache/vc/2020-01-01.json", _non_utf8),
-], ids=["truncated-payload-ingest", "non-utf8-payload-ingest"])
-def test_corrupt_artifact_is_a_typed_data_error(small_ws, tmp_path, capsys,
-                                                command, artifact, corrupt):
-    root = tmp_path / "ws"
-    shutil.copytree(small_ws["root"], root)
-    corrupt(root / artifact)
-    capsys.readouterr()
-    assert _run_in_copy(small_ws, root, command) == 3
-    err = capsys.readouterr().err
-    assert any(line.startswith("error: ") for line in err.splitlines())
-    assert "Traceback" not in err
+def _copy_argv(small_ws, root, command):
+    """`command` with every input and output path moved to the copy at `root`."""
+    return command + ["--config", str(small_ws["cfg"]), "--out-dir", str(root / "out"),
+                      "--set", f"forecast_cache={root / 'cache'}",
+                      "--set", f"ws_csv={root / 'ws.csv'}",
+                      "--set", f"ws_schema={root / 'ws.schema'}"]
 
 
 def _run_in_copy(small_ws, root, command):
-    """`command` with every input and output path moved to the copy at `root`."""
-    return main(command + ["--config", str(small_ws["cfg"]), "--out-dir", str(root / "out"),
-                           "--set", f"forecast_cache={root / 'cache'}",
-                           "--set", f"ws_csv={root / 'ws.csv'}",
-                           "--set", f"ws_schema={root / 'ws.schema'}"])
+    """`command`, run in this process in the copy at `root`; its exit code."""
+    return main(_copy_argv(small_ws, root, command))
 
 
 def _file_bytes(directory):
@@ -514,6 +507,8 @@ STORE_FAULTS = {
                    "row 3: not a stored forecast record: TypeError"),
     "nan": (_sub_line(3, rb'"rh_avg": [^,]+', b'"rh_avg": NaN'),
             "row 3: not a stored forecast record: RangeError('rh_avg=nan is not a finite"),
+    "true": (_sub_line(3, rb'"temp_max": [^,]+', b'"temp_max": true'),
+             "row 3: not a stored forecast record: RangeError('temp_max=True is not a finite"),
     "non-utf8": (_non_utf8, "is not UTF-8 text"),
     "extras-not-object": (_sub_line(3, rb'^\{"extras": \{.*?\}, "issue_date"',
                                     b'{"extras": [], "issue_date"'),
@@ -636,7 +631,72 @@ def test_model_file_fault_matrix(small_ws, tmp_path, capsys, reader, model, faul
     shutil.copytree(small_ws["root"], root)
     corrupt, message = MODEL_FAULTS[fault]
     corrupt(root / "out" / model)
-    _assert_typed_failure(small_ws, root, MODEL_READERS[model][reader], message, capsys)
+    _assert_typed_failure(small_ws, root, MODEL_READERS[model][reader], f"{model}: {message}",
+                          capsys)
+
+
+@pytest.fixture(scope="module")
+def payload_ws(tmp_path_factory, synth):
+    """A 20-day workspace with VC and OWM payloads cached and ingested, to copy and corrupt."""
+    site, observations, forecasts = synth
+    root = tmp_path_factory.mktemp("cli-payload")
+    _write_inputs(root, observations[:20], forecasts["VC"][:320] + forecasts["OWM"][:320])
+    cfg = _config(root, root / "out", site)
+    for argv in (["ingest", "ws"], ["ingest", "forecast", "--offline"]):
+        assert main(argv + ["--config", str(cfg)]) == 0
+    return {"cfg": cfg, "root": root, "issued": observations[5].date.isoformat()}
+
+
+PAYLOAD_FAULTS = {   # the whole payload: (corruption, error message)
+    "truncated": (_truncate, "payload is not JSON"),
+    "empty": (lambda path: path.write_bytes(b""), "payload is not JSON"),
+    "non-utf8": (_non_utf8, "payload is not UTF-8"),
+}
+ENTRY_FAULTS = {     # the first entry's temp_max: (value, skip reason)
+    "wrong-type": ("hot", "could not convert string to float: 'hot'"),
+    "nan": (float("nan"), "temp_max=nan is not a finite number"),
+    "true": (True, "is a boolean, not a number"),
+}
+PAYLOAD_CASES = [(provider, fault) for provider in ("vc", "owm")
+                 for fault in [*PAYLOAD_FAULTS, *ENTRY_FAULTS]]
+
+
+@pytest.mark.parametrize("provider, fault", PAYLOAD_CASES,
+                         ids=["-".join(case) for case in PAYLOAD_CASES])
+def test_cache_payload_fault_matrix(payload_ws, tmp_path, capsys, provider, fault):
+    """The cache-payload rows of the fault matrix, under `ingest forecast --offline`.
+    A payload that does not decode fails the ingest with one `error:` line naming
+    its provider and issue date, exit 3, and writes nothing. A bad value in one
+    entry skips that entry alone, with one warning line, and the ingest exits 0."""
+    root = tmp_path / "ws"
+    shutil.copytree(payload_ws["root"], root)
+    name, issued = provider.upper(), payload_ws["issued"]
+    payload = root / "cache" / provider / f"{issued}.json"
+    command = ["ingest", "forecast", "--offline"]
+    if fault in PAYLOAD_FAULTS:
+        corrupt, message = PAYLOAD_FAULTS[fault]
+        corrupt(payload)
+        _assert_typed_failure(payload_ws, root, command, f"{message} ({name} issued {issued})",
+                              capsys)
+        return
+    value, reason = ENTRY_FAULTS[fault]
+    doc = json.loads(payload.read_text())
+    if provider == "vc":
+        doc["days"][0]["tempmax"] = value
+    else:
+        doc["list"][0]["temp"]["max"] = value
+    payload.write_text(json.dumps(doc))
+    store = (root / "out" / "forecasts.jsonl").read_text().splitlines()
+    done = _run_cli(_copy_argv(payload_ws, root, command))
+    assert done.returncode == 0, done.stderr
+    (warning,) = done.stderr.splitlines()
+    assert warning.startswith(f"skipping {name} entry issued {issued}: ") and reason in warning
+    # the entry issued on its own target date, d0, is the one store line lost
+    lost = [line for line in store if f'"issue_date": "{issued}", ' in line
+            and f'"provider": "{name}", ' in line and f'"target_date": "{issued}", ' in line]
+    assert len(lost) == 1
+    kept = [line for line in store if line != lost[0]]
+    assert (root / "out" / "forecasts.jsonl").read_text().splitlines() == kept
 
 
 def test_forecast_sidecar_is_byte_stable(small_ws, tmp_path):

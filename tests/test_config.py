@@ -55,7 +55,7 @@ MESSAGES = [
     ({"latitude": "abc"}, "bad value for latitude: 'abc' (could not convert string to float: 'abc')"),
     ({"latitude": "91"}, "latitude=91.0 outside +/- 90 degrees"),
     ({"elevation": "inf"}, "elevation must be finite"),
-    ({"wind_sensor_height": "0"}, "wind_sensor_height=0.0 must be finite and > 0"),
+    ({"wind_sensor_height": "0"}, "wind_sensor_height=0.0 must be finite and above 0.0947 m"),
     ({"providers": "VC,XX"}, "unknown provider 'XX'; expected ('VC', 'OWM')"),
     ({"start_date": "2020-13-01"}, "bad value for start_date: '2020-13-01' (month must be in 1..12)"),
     ({"horizons": "0-16"}, "horizons '0-16' outside 0..15"),
@@ -67,10 +67,21 @@ MESSAGES = [
     ({"validation_fraction": "1"}, "validation_fraction must be in (0, 1)"),
     ({"holdout_fraction": "1"}, "holdout_fraction must be in (0, 1)"),
     ({"humidity_mode": "mean"}, "humidity_mode must be extremes or average, got 'mean'"),
-    ({"forecast_wind_height": "0"}, "forecast_wind_height=0.0 must be finite and > 0"),
+    ({"forecast_wind_height": "0"}, "forecast_wind_height=0.0 must be finite and above 0.0947 m"),
     ({"tz_offset_hours": "25"}, "tz_offset_hours=25.0 outside +/- 24 hours"),
     ({"offline": "maybe"}, "bad value for offline: 'maybe' ('maybe')"),
+    # above 0 but below the height the log wind profile holds at
+    ({"wind_sensor_height": "0.05"}, "wind_sensor_height=0.05 must be finite and above 0.0947 m"),
+    ({"forecast_wind_height": "0.05"},
+     "forecast_wind_height=0.05 must be finite and above 0.0947 m"),
 ]
+
+
+def _message_id(overrides):
+    """A MESSAGES case's test id: the key it sets, with the value for a 0.05 m
+    wind height (the key alone names that key's `0` case)."""
+    (key, value), = overrides.items()
+    return f"{key}={value}" if value == "0.05" else key
 
 
 def test_every_key_parses_to_its_typed_value():
@@ -87,7 +98,7 @@ def test_ws_column_keys_take_station_csv_fields():
 
 
 @pytest.mark.parametrize("overrides, message", MESSAGES,
-                         ids=[next(iter(o)) for o, _ in MESSAGES])
+                         ids=[_message_id(o) for o, _ in MESSAGES])
 def test_config_error_messages_are_stable(overrides, message):
     with pytest.raises(ConfigError) as err:
         build_config(None, overrides)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from etoforge import pipelines
-from etoforge.errors import (DegenerateActuals, DomainError, EmptyInput,
+from etoforge.errors import (DegenerateActuals, EmptyInput,
                              LengthMismatch, MissingCells, NoModels, NonFinite,
                              RangeError)
 from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
@@ -226,11 +226,21 @@ def test_absent_optional_fields_are_masked_out(small_world, full_models):
     assert all(report.n < len(observations) for report in sweep.cells.values())
 
 
-def test_sweep_fails_where_the_hybrid_physics_rejects_a_day():
-    site, observations, forecasts = _polar_night()
+def test_sweep_omits_hybrid_cells_the_physics_rejects():
+    """A polar site's SR model predicts shortwave in the polar night: the hybrid
+    physics rejects that day, so each ET0_HYB cell is omitted with the physics
+    reason while the same cells' ET0_ANN and SR_ANN are still scored."""
+    site, _, _ = _polar_night()
+    observations = synthetic_observations(site, n_days=365, seed=3)
+    forecasts = synthetic_forecasts(observations, "VC", seed=3)
     bundle = ModelBundle(et0_model=_zero_model("ET0", 0.5), sr_model=_zero_model("SR", 5.0))
-    with pytest.raises(DomainError, match="2022-12-20"):
-        horizon_sweep(bundle, observations, forecasts, site, horizons=[0], providers=("VC",))
+    sweep = horizon_sweep(bundle, observations, forecasts, site, horizons=(0, 1),
+                          providers=("VC",), humidity_mode="average")
+    reason = "2020-01-01: measured shortwave with zero extraterrestrial radiation"
+    assert sweep.omissions == tuple(((h, "VC", "ET0_HYB"), reason) for h in (0, 1))
+    assert sorted(sweep.cells) == sorted(sweep.errors) == [
+        (h, "VC", estimator) for h in (0, 1) for estimator in ("ET0_ANN", "SR_ANN")]
+    assert all(report.n == len(observations) for report in sweep.cells.values())
 
 
 def test_horizon_outside_range_is_rejected(small_world, full_models):

@@ -716,14 +716,6 @@ def test_ingest_adds_fewer_gc_objects_than_records(tmp_path, synth):
     assert len(table) == len(forecasts["VC"]) and added < len(table)
 
 
-def test_store_shares_one_date_object_per_day():
-    lines = _store_lines()
-    records = records_from_jsonl("\n".join(lines + lines))
-    assert len(records) == 6
-    assert records[0].target_date is records[3].target_date
-    assert records[1].issue_date is records[0].target_date
-
-
 def test_cache_write_is_atomic_no_temp_left(tmp_path):
     cache = ForecastCache(tmp_path)
     cache.write("VC", D(2022, 6, 1), "{}")
