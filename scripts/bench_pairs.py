@@ -14,7 +14,11 @@ Usage: python scripts/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT --workload 
 
 The benchmark's own default sets each run's length. Each run writes only
 under its own checkout's `.perfbench/`. Exits 1 if a run fails or either
-side reports a failed op.
+side reports a failed op. Exits 2 before the first pair if the checkouts
+were used unevenly: one holds a `.perfbench/`, `.pytest_cache/`,
+`.hypothesis/` or `__pycache__/` directory the other lacks. A checkout that
+has already run the tests or the benchmark times differently from a fresh
+one, so compare two fresh copies made the same way.
 """
 
 from __future__ import annotations
@@ -29,6 +33,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+USE_TRACES = (".perfbench", ".pytest_cache", ".hypothesis")   # plus any __pycache__
+
+
+def use_traces(checkout: Path) -> set:
+    """The directories that testing or running `checkout` has left in it, as relative paths."""
+    found = {name for name in USE_TRACES if (checkout / name).is_dir()}
+    return found | {str(p.relative_to(checkout)) for p in checkout.rglob("__pycache__")
+                    if p.is_dir()}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -60,6 +72,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    traces = {side: use_traces(checkouts[side]) for side in SIDES}
+    uneven = sorted(traces["parent"] ^ traces["change"])
+    if uneven:
+        side = "parent" if uneven[0] in traces["parent"] else "change"
+        print(f"error: {checkouts[side] / uneven[0]} is only in the {side} checkout; "
+              "compare two checkouts used the same way, e.g. two fresh copies",
+              file=sys.stderr)
+        return 2
 
     samples = {side: {m["name"]: [] for m in metrics} for side in SIDES}
     failed = {side: 0 for side in SIDES}

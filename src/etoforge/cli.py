@@ -46,12 +46,14 @@ def _write(out_dir: Path, name: str, text) -> Path:
     return path
 
 
-def _write_manifest(out_dir: Path, seed: int) -> None:
-    files = {}
+def _write_manifest(out_dir: Path, seed: int, *known) -> None:
+    """List every file of out_dir with its SHA-256. `known` holds (name, hex
+    digest) pairs of files this command hashed already; they are not re-read."""
+    known, files = dict(known), {}
     for path in sorted(out_dir.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            files[str(path.relative_to(out_dir))] = digest
+            name = str(path.relative_to(out_dir))
+            files[name] = known.get(name) or hashlib.sha256(path.read_bytes()).hexdigest()
     doc = {"seed": seed, "files": files}
     (out_dir / "manifest.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -75,16 +77,18 @@ def _load_observations(cfg):
 
 
 def _load_forecasts(cfg):
+    """(the forecast table, the store's (name, SHA-256 hex digest) for the manifest)."""
     store = cfg.out_dir / FORECAST_STORE
     if not store.is_file():
         raise ConfigError(f"no ingested forecasts at {store}; run `ingest forecast` first")
     data = store.read_bytes()
-    table = records_from_npz(cfg.out_dir / FORECAST_COLUMNS, data)
+    digest = hashlib.sha256(data).digest()
+    table = records_from_npz(cfg.out_dir / FORECAST_COLUMNS, digest)
     if table is None:
         table = records_from_jsonl(decode_utf8(data, store))
     if not len(table):
         raise EmptyInput(f"forecast store {store} has no records")
-    return table
+    return table, (FORECAST_STORE, digest.hex())
 
 
 def _load_model(cfg, target: str):
@@ -197,13 +201,15 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
         bundle = pipelines.ModelBundle(et0_model=_load_model(cfg, "ET0"))
     else:
         bundle = pipelines.ModelBundle(sr_model=_load_model(cfg, "SR"))
+    known = []
     if source == "ws":
         records = _load_observations(cfg)
         keys = [(obs.date, "WS", None) for obs in records]
         wind_height = None
     else:
         provider = source.upper()
-        table = _load_forecasts(cfg)
+        table, store_hash = _load_forecasts(cfg)
+        known.append(store_hash)
         keep = table.provider == PROVIDERS.index(provider)
         if horizon is not None:
             keep &= table.horizon == horizon
@@ -221,13 +227,13 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
     name = f"predictions_{estimator.lower()}_{source}{suffix}.csv"
     _write(cfg.out_dir, name, pipelines.predictions_csv(rows))
     print(f"{len(rows)} predictions ({estimator}, source {source})")
-    _write_manifest(cfg.out_dir, cfg.seed)
+    _write_manifest(cfg.out_dir, cfg.seed, *known)
     return 0
 
 
 def cmd_evaluate(cfg) -> int:
     observations = _load_observations(cfg)
-    forecasts = _load_forecasts(cfg)
+    forecasts, store_hash = _load_forecasts(cfg)
     bundle = pipelines.ModelBundle(et0_model=_load_model(cfg, "ET0"),
                                    sr_model=_load_model(cfg, "SR"))
     site = cfg.site()
@@ -262,7 +268,7 @@ def cmd_evaluate(cfg) -> int:
                 print(f"usable horizon ({name}{relation}{tau}): "
                       f"{provider}/{estimator} -> d{u}")
     _write(cfg.out_dir, "usable_horizons.csv", "\n".join(usable_lines) + "\n")
-    _write_manifest(cfg.out_dir, cfg.seed)
+    _write_manifest(cfg.out_dir, cfg.seed, store_hash)
     return 0
 
 

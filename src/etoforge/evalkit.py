@@ -185,10 +185,11 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
 
     Inference only: models are read, never retrained, and both must be
     given (NoModels otherwise). The station targets are computed once and
-    indexed by date; each cell is scored by one pipelines.estimate call,
-    on its matched dates whose forecast carries humidity and wind. Cells with
-    fewer than two matched dates, that fail metric preconditions, or (ET0_HYB)
-    whose physics rejects a day are left out and listed in `omissions` with the
+    indexed by date. Every cell is joined first, then one pipelines.estimate
+    call scores the matched dates of all cells whose forecast carries
+    humidity and wind, and each cell takes its slice. Cells with fewer than
+    two matched dates, that fail metric preconditions, or (ET0_HYB) whose
+    physics rejects a day are left out and listed in `omissions` with the
     reason; the sweep never aborts on a cell. The per-day absolute errors of
     every scored cell are kept in `errors` (see :func:`error_distribution`).
     """
@@ -198,21 +199,31 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
     table = as_table(forecasts)
     targets = {TARGET_ET0: pipelines.build_et0_target(ordered, site, humidity_mode).values,
                TARGET_SR: pipelines.build_sr_target(ordered).values}
-    cells, coverage, omissions, errors = {}, {}, [], {}
+    joined = []
     for provider, horizon, matched, rows, cell_coverage in _aligned_cells(
             ordered, table, providers, horizons):
         usable = table.present["rh_avg"][rows] & table.present["wind_avg"][rows]
-        positions = matched[usable]
-        dates = [ordered[i].date for i in positions.tolist()]
-        estimates = pipelines.estimate(models, table.take(rows[usable]), site,
-                                       forecast_wind_height)
+        joined.append((provider, horizon, matched, matched[usable], rows[usable], cell_coverage))
+    scored = np.concatenate([np.zeros(0, dtype=np.intp), *(rows for *_, rows, _ in joined)])
+    estimates = pipelines.estimate(models, table.take(scored), site, forecast_wind_height)
+    dates, end = ordered.dates, 0
+    cells, coverage, omissions, errors = {}, {}, [], {}
+    for provider, horizon, matched, positions, rows, cell_coverage in joined:
+        cell = slice(end, end + rows.size)
+        end = cell.stop
+        cell_dates = [dates[i] for i in positions.tolist()]
         for estimator in ESTIMATORS:
             key = (horizon, provider, estimator)
             kind = TARGET_SR if estimator == "SR_ANN" else TARGET_ET0
             try:
-                predicted, _ = estimates[estimator]
+                try:
+                    predicted = estimates[estimator][0][cell]
+                except pipelines.HYBRID_ERRORS:  # a day failed: rerun this cell's physics only
+                    sr = estimates["SR_ANN"][0][cell]
+                    predicted = pipelines._physics_et0(table.take(rows), sr, site, "average",
+                                                       forecast_wind_height).et0
                 actual = targets[kind][positions]
-                errors[key] = list(zip(dates, np.abs(actual - predicted).tolist()))
+                errors[key] = list(zip(cell_dates, np.abs(actual - predicted).tolist()))
                 if matched.size < 2:
                     raise LengthMismatch(f"only {matched.size} matched dates")
                 cells[key] = metrics(actual, predicted, mape_epsilon=MAPE_EPSILON[kind],

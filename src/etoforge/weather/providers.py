@@ -90,6 +90,8 @@ _DATE_PARSERS = {  # (raw target date, local-time shift) -> date ordinal
 }
 # what skips one payload entry with a warning
 _ENTRY_ERRORS = (ProviderSchemaError, RangeError, ValueError, TypeError, OverflowError)
+# the exact types a payload field may hold: a bool or a numeric string is no number
+_NUMBER_OR_NULL = (int, float, type(None))
 
 
 def _mapping_from_dict(doc: dict) -> ProviderMapping:
@@ -180,8 +182,9 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
     A body that is not JSON or has no entry list raises ProviderSchemaError
     naming the provider and issue date. Entries whose horizon falls outside
     0..MAX_HORIZON are dropped silently (providers may include the previous
-    local day); any other entry a ForecastRecord would reject, or whose
-    value is a boolean or not a number a float holds, is skipped with a warning.
+    local day); any other entry a ForecastRecord would reject, or with a value
+    that is not a JSON number (a boolean or numeric string included) or not one
+    a float holds, is skipped with a warning.
     Unmapped entry keys are kept as `extras` JSON text. A `tz_offset_hours`
     that is not finite or lies beyond +/- 24 hours raises RangeError.
     """
@@ -213,8 +216,8 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
                     raise ProviderSchemaError(
                         f"{mapping.provider} {issue_date}->{dt.date.fromordinal(day)}: "
                         f"missing {'.'.join(fm.keys)!r}")
-                if raw is True or raw is False:
-                    raise TypeError(f"{'.'.join(fm.keys)!r} is a boolean, not a number")
+                if type(raw) not in _NUMBER_OR_NULL:
+                    raise TypeError(f"{'.'.join(fm.keys)!r}={raw!r} is not a number")
                 values[name] = None if raw is None else fm.convert(float(raw))
             check_forecast_values(**values)
         except _ENTRY_ERRORS as exc:
@@ -299,15 +302,16 @@ def records_to_npz(records, store: bytes) -> bytes:
     return out.getvalue()
 
 
-def records_from_npz(path, store: bytes) -> ForecastTable | None:
-    """The table a column sidecar at `path` holds, if it is valid for `store`.
+def records_from_npz(path, store_sha256: bytes) -> ForecastTable | None:
+    """The table a column sidecar at `path` holds, if it is valid for the store
+    whose SHA-256 digest is `store_sha256`.
 
     Valid means: it is the sidecar :func:`records_to_npz` writes, every
-    member passes its CRC check, its `store_sha256` is the SHA-256 of
-    `store`, its dates are date ordinals, each extras text is a JSON
-    object, and its columns pass the checks :meth:`ForecastTable.from_json`
-    runs. The sidecar `ingest forecast` wrote for `store` then gives the
-    table `records_from_jsonl(store text)` gives, column for column and
+    member passes its CRC check, its `store_sha256` is that digest, its
+    dates are date ordinals, each extras text is a JSON object, and its
+    columns pass the checks :meth:`ForecastTable.from_json` runs. The
+    sidecar `ingest forecast` wrote for a store then gives the table
+    `records_from_jsonl(store text)` gives, column for column and
     extras text for extras text. Otherwise, a missing, stale, truncated or
     garbled file included, this returns None and never raises. The hash
     covers the store, not the columns: a sidecar re-packed by hand with
@@ -326,7 +330,7 @@ def records_from_npz(path, store: bytes) -> ForecastTable | None:
                                       ("provider", "target", "issue", "extras_index"))
     columns = (member["values"], member["present"])
     n = target.size
-    if (member["store_sha256"].tobytes() != hashlib.sha256(store).digest()
+    if (member["store_sha256"].tobytes() != store_sha256
             or any(a.dtype != np.int64 or a.shape != (n,)
                    for a in (provider, target, issue, index))
             or [a.dtype for a in columns] != [np.float64, np.bool_]

@@ -308,6 +308,9 @@ class ForecastTable(DayTable):
         bad |= rejected_rows(provider, target - issue, values, present)
         if bad.any():
             i = int(np.argmax(bad))
+            if _unknown_provider(provider[i]):
+                raise RangeError(f"not a stored forecast record: provider code {provider[i]} "
+                                 f"outside 0..{len(PROVIDERS) - 1}", row=rows[i])
             try:
                 ForecastRecord(PROVIDERS[provider[i]], dt.date.fromordinal(target[i]),
                                dt.date.fromordinal(issue[i]),
@@ -386,13 +389,18 @@ def rejected_rows(provider, horizon, values, present) -> np.ndarray:
     """Mask of the rows whose ForecastRecord would raise, checked on whole columns:
     an unknown provider, a horizon outside 0..MAX_HORIZON, a held value that is
     not finite or out of range, a missing temperature, or temp_min > temp_max."""
-    bad = (provider < 0) | (provider >= len(PROVIDERS)) | (horizon < 0) | (horizon > MAX_HORIZON)
+    bad = _unknown_provider(provider) | (horizon < 0) | (horizon > MAX_HORIZON)
     for name in FORECAST_FIELDS:
         x = values[name]
         low, high = units.RANGE[units.FIELD_QUANTITY[name]]
         bad |= present[name] & ~(np.isfinite(x) & (x >= low) & (x <= high))
     return (bad | ~present["temp_max"] | ~present["temp_min"]
             | (values["temp_min"] > values["temp_max"]))
+
+
+def _unknown_provider(code):
+    """Whether a provider code (or each of an array of them) indexes no entry of PROVIDERS."""
+    return (code < 0) | (code >= len(PROVIDERS))
 
 
 def _holds_float(value) -> bool:

@@ -586,9 +586,10 @@ def test_repacked_sidecar_is_not_read(small_ws, tmp_path, fault):
     sidecar = tmp_path / "forecasts.npz"
     shutil.copy(small_ws["root"] / "out" / "forecasts.npz", sidecar)
     store = (small_ws["root"] / "out" / "forecasts.jsonl").read_bytes()
-    assert records_from_npz(sidecar, store) is not None
+    digest = hashlib.sha256(store).digest()
+    assert records_from_npz(sidecar, digest) is not None
     for _ in SIDECAR_FAULTS[fault](sidecar):
-        assert records_from_npz(sidecar, store) is None
+        assert records_from_npz(sidecar, digest) is None
 
 
 def _sub(pattern, replacement):
@@ -653,9 +654,10 @@ PAYLOAD_FAULTS = {   # the whole payload: (corruption, error message)
     "non-utf8": (_non_utf8, "payload is not UTF-8"),
 }
 ENTRY_FAULTS = {     # the first entry's temp_max: (value, skip reason)
-    "wrong-type": ("hot", "could not convert string to float: 'hot'"),
+    "wrong-type": ("hot", "='hot' is not a number"),
     "nan": (float("nan"), "temp_max=nan is not a finite number"),
-    "true": (True, "is a boolean, not a number"),
+    "true": (True, "=True is not a number"),
+    "numeric-string": ("12.5", "='12.5' is not a number"),
 }
 PAYLOAD_CASES = [(provider, fault) for provider in ("vc", "owm")
                  for fault in [*PAYLOAD_FAULTS, *ENTRY_FAULTS]]
@@ -717,7 +719,7 @@ def test_sidecar_table_equals_the_store_parse(big_ws):
     """The sidecar gives the table the store text parses to, bit for bit."""
     store = (big_ws["out"] / "forecasts.jsonl").read_bytes()
     parsed = records_from_jsonl(store.decode("utf-8"))
-    loaded = records_from_npz(big_ws["out"] / "forecasts.npz", store)
+    loaded = records_from_npz(big_ws["out"] / "forecasts.npz", hashlib.sha256(store).digest())
     assert loaded is not None and len(loaded) == len(parsed) > 0
     for name in ("provider", "target", "issue", "horizon"):
         a, b = getattr(loaded, name), getattr(parsed, name)
@@ -740,6 +742,28 @@ def test_valid_sidecar_skips_the_store_parse(small_ws, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "records_from_jsonl", unused)
     for command in STORE_READERS.values():
         assert _run_in_copy(small_ws, root, command) == 0
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+def test_evaluate_hashes_the_forecast_store_once(small_ws, tmp_path, monkeypatch, sidecar):
+    """`evaluate` hashes the store's bytes once: to check the sidecar and for the manifest."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    if not sidecar:
+        (root / "out" / "forecasts.npz").unlink()
+    store = (root / "out" / "forecasts.jsonl").read_bytes()
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def counting(data=b""):
+        hashed.append(len(data) if data == store else 0)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    assert _run_in_copy(small_ws, root, ["evaluate"]) == 0
+    assert sum(hashed) == len(store) > 0
+    manifest = json.loads((root / "out" / "manifest.json").read_text())
+    assert manifest["files"]["forecasts.jsonl"] == sha256(store).hexdigest()
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from etoforge import pipelines
+from etoforge import fao56, pipelines, regressor
 from etoforge.errors import (DegenerateActuals, EmptyInput,
                              LengthMismatch, MissingCells, NoModels, NonFinite,
                              RangeError)
@@ -241,6 +241,51 @@ def test_sweep_omits_hybrid_cells_the_physics_rejects():
     assert sorted(sweep.cells) == sorted(sweep.errors) == [
         (h, "VC", estimator) for h in (0, 1) for estimator in ("ET0_ANN", "SR_ANN")]
     assert all(report.n == len(observations) for report in sweep.cells.values())
+
+
+def test_sweep_fallback_omits_only_the_cells_whose_physics_fails():
+    """The whole-sweep physics fails on a polar-night day of horizon 1 only. Each
+    cell then reruns its own physics: (0, VC, ET0_HYB) is scored as in a sweep of
+    horizon 0 alone, (1, VC, ET0_HYB) is omitted with its own first bad day, and
+    the ANN cells of both horizons are scored."""
+    site, _, _ = _polar_night()
+    observations = synthetic_observations(site, n_days=365, seed=3)
+    sunlit = {o.date for o in observations
+              if fao56.extraterrestrial_radiation(site.latitude_rad,
+                                                  o.date.timetuple().tm_yday) > 0.0}
+    forecasts = [f for f in synthetic_forecasts(observations, "VC", seed=3)
+                 if f.horizon != 0 or f.target_date in sunlit]
+    bundle = ModelBundle(et0_model=_zero_model("ET0", 0.5), sr_model=_zero_model("SR", 5.0))
+    sweep = horizon_sweep(bundle, observations, forecasts, site, horizons=(0, 1),
+                          providers=("VC",), humidity_mode="average")
+    reason = "2020-01-01: measured shortwave with zero extraterrestrial radiation"
+    assert sweep.omissions == (((1, "VC", "ET0_HYB"), reason),)
+    assert sorted(sweep.cells) == sorted(
+        [(0, "VC", "ET0_HYB")] + [(h, "VC", e) for h in (0, 1) for e in ("ET0_ANN", "SR_ANN")])
+    assert 2 <= sweep.cells[(0, "VC", "ET0_HYB")].n < len(observations)
+    alone = horizon_sweep(bundle, observations, forecasts, site, horizons=(0,),
+                          providers=("VC",), humidity_mode="average")
+    assert not alone.omissions
+    assert alone.cells == {k: v for k, v in sweep.cells.items() if k[0] == 0}
+    assert alone.errors == {k: v for k, v in sweep.errors.items() if k[0] == 0}
+
+
+def test_sweep_runs_each_model_once_over_every_cell(synth, full_models, monkeypatch):
+    """The 2-provider, 16-horizon sweep scores all its cells' rows in one
+    predict_batch call per model."""
+    site, observations, forecasts = synth
+    calls = []
+
+    def counting(model, rows):
+        calls.append((model.target_name, len(rows)))
+        return regressor.predict_batch(model, rows)
+
+    monkeypatch.setattr(pipelines, "predict_batch", counting)
+    sweep = horizon_sweep(full_models, observations, forecasts["VC"] + forecasts["OWM"], site,
+                          humidity_mode="average")
+    assert len(sweep.cells) == 2 * 16 * 3
+    rows = sum(report.n for key, report in sweep.cells.items() if key[2] == "SR_ANN")
+    assert sorted(calls) == [("ET0", rows), ("SR", rows)]
 
 
 def test_horizon_outside_range_is_rejected(small_world, full_models):

@@ -8,8 +8,8 @@ import pytest
 
 from etoforge.errors import (ConstantFeature, CorruptModel, NonFinite,
                              ShapeMismatch, VersionMismatch)
-from etoforge.regressor import (MlpModel, Scaler, TrainConfig, fit_scaler,
-                                forward, gradient_check, load, predict_batch,
+from etoforge.regressor import (PREDICT_BLOCK, MlpModel, Scaler, TrainConfig, _act,
+                                fit_scaler, forward, gradient_check, load, predict_batch,
                                 save, train)
 
 
@@ -99,17 +99,34 @@ def test_forward_shape_mismatch():
         forward(model, [1.0, 2.0, 3.0])
 
 
+def _row_major(model, rows):
+    """The layer sums of predict_batch on the (n, d) layout, in one unblocked pass."""
+    h = model.scaler.transform(rows)
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h[:, :1] * w[0]
+        for k in range(1, w.shape[0]):
+            z += h[:, k:k + 1] * w[k]
+        z += b
+        h = z if i == len(model.weights) - 1 else _act(z, model.activation)
+    return h[:, 0] * model.target_std + model.target_mean
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_predict_batch_is_batch_invariant(activation):
     # each row's prediction is bit-identical alone, in the full batch and
-    # in any sub-batch: the batch-composition contract
+    # in any sub-batch, one across a block boundary included: the
+    # batch-composition contract
     rng = np.random.default_rng(31)
     model = _random_model(rng, (7, 32, 32, 1), activation)
-    rows = rng.normal(size=(500, 7)) * model.scaler.std + model.scaler.mean
+    rows = rng.normal(size=(2 * PREDICT_BLOCK + 3, 7)) * model.scaler.std + model.scaler.mean
     batch = predict_batch(model, rows)
     alone = np.array([forward(model, row) for row in rows])
     assert np.array_equal(batch, alone)
+    assert np.array_equal(batch, _row_major(model, rows))
     assert np.array_equal(predict_batch(model, rows[1::3]), batch[1::3])
+    straddle = slice(PREDICT_BLOCK - 5, PREDICT_BLOCK + 7)
+    assert np.array_equal(predict_batch(model, rows[straddle]), batch[straddle])
+    assert predict_batch(model, rows[:0]).shape == (0,)
 
 
 # --- training ----------------------------------------------------------------------

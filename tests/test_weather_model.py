@@ -462,7 +462,8 @@ def test_skip_path_keeps_the_good_rows_and_explains_each_bad_one(caplog):
         _vc_day(day[6], tempmin=30.0),                 # temp_min > temp_max
         _vc_day(day[7], datetime="2022-06-31"),        # a date that does not parse
         _vc_day(day[16]),                              # horizon 16: dropped silently
-        _vc_day(day[8], humidity=58, precip=1, tempmax="29.5"),  # integers, numeric text
+        _vc_day(day[8], humidity=58, precip=1, tempmax=29),    # integers
+        _vc_day(day[9], tempmax="29.5"),                       # a numeric text value
     ]
     with caplog.at_level("WARNING"):
         rows = list(normalize_payload(json.dumps({"days": entries}), issued,
@@ -470,16 +471,17 @@ def test_skip_path_keeps_the_good_rows_and_explains_each_bad_one(caplog):
     assert [(r.target_date, r.temp_max, r.rh_avg, r.precip, r.extras) for r in rows] == [
         (day[0], 27.5, 58.0, 0.5, {"uvindex": 8}),
         (day[4], 27.5, 58.0, None, {"uvindex": "kept"}),
-        (day[8], 29.5, 58.0, 1.0, {"uvindex": 8})]
+        (day[8], 29.0, 58.0, 1.0, {"uvindex": 8})]
     assert rows[0].wind_avg == 14.4 / 3.6
     assert [r.getMessage() for r in caplog.records] == [
         f"skipping VC entry issued 2022-06-01: {reason}" for reason in (
             "VC 2022-06-01->2022-06-02: missing 'tempmax'",
-            "could not convert string to float: 'hot'",
+            "'humidity'='hot' is not a number",
             "wind_avg=nan is not a finite number",
             "rh_avg=120.0 above 100.0",
             "temp_min=30.0 > temp_max=27.5",
-            "day is out of range for month")]
+            "day is out of range for month",
+            "'tempmax'='29.5' is not a number")]
 
 
 _OWM_NOON = dt.datetime(2022, 6, 2, 12, tzinfo=dt.timezone.utc).timestamp()
@@ -529,6 +531,16 @@ def test_concat_keeps_one_kind_of_source():
     mixed = ForecastTable.concat([ingested, parsed])
     assert mixed.extras.tolist() == ['{"uvindex": 8}', '{"clouds": {"all": 20}, "pop": 0.5}']
     assert [r.extras for r in mixed] == [{"uvindex": 8}, {"clouds": {"all": 20}, "pop": 0.5}]
+
+
+@pytest.mark.parametrize("code", [-1, 5])
+def test_from_json_names_a_provider_code_out_of_range(code):
+    day = D(2022, 6, 1).toordinal()
+    fields = {"temp_max": [25.0], "temp_min": [15.0], "rh_avg": [None], "wind_avg": [None],
+              "precip": [None]}
+    with pytest.raises(RangeError, match=f"provider code {code} outside 0..1") as err:
+        ForecastTable.from_json([code], [day], [day], fields, ["{}"], [7])
+    assert err.value.row == 7
 
 
 def test_mapping_is_compiled_at_load():
