@@ -1,11 +1,14 @@
-"""Time `ingest forecast --offline` at 365 and 1,460 days and print the ratio.
+"""Time `ingest forecast --offline` at 365 and 1,460 days, cold and warm, and print the ratios.
 
     PYTHONPATH=src python3 scripts/ingest_scaling.py
 
 Each size gets its own workspace from `synthetic_dataset(seed=11)`: the
 station CSV, its schema, both providers' cached payloads and a config.
 `ingest ws` runs once; `ingest forecast --offline` then runs in this
-process three times and the best time counts. Linear growth reads 4.0x.
+process three times cold, with the payload memo (`forecast_payloads.npz`)
+deleted before each run so every payload is normalized, and three times
+warm, reusing the memo the run before wrote. The best time of each kind
+counts. Linear growth reads 4.0x.
 """
 
 import contextlib
@@ -24,7 +27,8 @@ SIZES = (365, 1460)
 REPEATS = 3
 
 
-def best_ingest_seconds(root: Path, n_days: int) -> float:
+def best_ingest_seconds(root: Path, n_days: int) -> dict:
+    """{"cold": best seconds, "warm": best seconds} of `ingest forecast` at `n_days`."""
     site, observations, forecasts = synthetic_dataset(seed=SEED, n_days=n_days)
     (root / "ws.csv").write_text(serialize_ws_csv(observations), encoding="utf-8")
     (root / "ws.schema").write_text(ws_schema_text(), encoding="utf-8")
@@ -36,14 +40,20 @@ def best_ingest_seconds(root: Path, n_days: int) -> float:
         f"wind_sensor_height = {site.wind_sensor_height}\nws_csv = {root / 'ws.csv'}\n"
         f"ws_schema = {root / 'ws.schema'}\nforecast_cache = {root / 'cache'}\n"
         f"out_dir = {root / 'out'}\n", encoding="utf-8")
-    times = []
-    for argv in [["ingest", "ws"]] + [["ingest", "forecast", "--offline"]] * REPEATS:
+    memo = root / "out" / cli.FORECAST_PAYLOADS
+    runs = [("setup", ["ingest", "ws"])] + [(kind, ["ingest", "forecast", "--offline"])
+                                            for kind in ("cold", "warm") for _ in range(REPEATS)]
+    times = {"cold": [], "warm": []}
+    for kind, argv in runs:
+        if kind == "cold":
+            memo.unlink(missing_ok=True)
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv + ["--config", str(config)]) != 0:
                 raise SystemExit(f"{' '.join(argv)} failed at {n_days} days")
-        times.append(time.perf_counter() - start)
-    return min(times[1:])
+        if kind != "setup":
+            times[kind].append(time.perf_counter() - start)
+    return {kind: min(seconds) for kind, seconds in times.items()}
 
 
 def main() -> int:
@@ -51,9 +61,12 @@ def main() -> int:
     for n_days in SIZES:
         with tempfile.TemporaryDirectory() as tmp:
             seconds[n_days] = best_ingest_seconds(Path(tmp), n_days)
-        print(f"{n_days} days: {seconds[n_days]:.3f} s (best of {REPEATS})")
+        print(f"{n_days} days: cold {seconds[n_days]['cold']:.3f} s, "
+              f"warm {seconds[n_days]['warm']:.3f} s (best of {REPEATS} each)")
     small, large = SIZES
-    print(f"ratio {large}/{small} days: {seconds[large] / seconds[small]:.2f}x")
+    for kind in ("cold", "warm"):
+        print(f"{kind} ratio {large}/{small} days: "
+              f"{seconds[large][kind] / seconds[small][kind]:.2f}x")
     return 0
 
 

@@ -22,15 +22,16 @@ import numpy as np
 from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import CorruptModel, EmptyInput, EtoforgeError, MissingCells, VersionMismatch
-from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, WsSchema, decode_utf8,
-                      fetch_forecasts, load_ws_schema, parse_ws_csv, records_from_jsonl,
-                      records_from_npz, records_to_jsonl, records_to_npz,
+from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, PayloadMemo, WsSchema,
+                      decode_utf8, fetch_forecasts, load_ws_schema, parse_ws_csv,
+                      records_from_jsonl, records_from_npz, records_to_jsonl, records_to_npz,
                       serialize_ws_csv, ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
 FORECAST_STORE = "forecasts.jsonl"
 FORECAST_COLUMNS = "forecasts.npz"   # the store's column sidecar, read when valid
+FORECAST_PAYLOADS = "forecast_payloads.npz"   # the memo of normalized payloads, read when valid
 MODEL_FILES = {"ET0": "model_et0.json", "SR": "model_sr.json"}
 
 
@@ -138,12 +139,15 @@ def cmd_ingest_forecast(cfg) -> int:
                               if cfg.start_date else
                               f"end_date={end} is before the first observed date {start}")
     site = cfg.site()
+    # a provider listed twice has its rows twice in the sidecar, where no memo key tells them apart
+    memo = (PayloadMemo.read(cfg.out_dir / FORECAST_PAYLOADS, cfg.out_dir / FORECAST_COLUMNS)
+            if len(set(cfg.providers)) == len(cfg.providers) else None)
     tables = []
     for provider in cfg.providers:
         table = fetch_forecasts(
             provider, site, (start, end),
             cache_dir=cfg.forecast_cache, offline=cfg.offline,
-            tz_offset_hours=cfg.tz_offset_hours)
+            tz_offset_hours=cfg.tz_offset_hours, memo=memo)
         tables.append(table)
         cells = np.unique(table.target * (MAX_HORIZON + 1) + table.horizon)
         days, per_date = np.unique(cells // (MAX_HORIZON + 1), return_counts=True)
@@ -153,9 +157,11 @@ def cmd_ingest_forecast(cfg) -> int:
               f"{days.size} target dates, {spread} horizons per date")
     table = ForecastTable.concat(tables)
     store = records_to_jsonl(table).encode("utf-8")
+    digest = hashlib.sha256(store).digest()
     _write(cfg.out_dir, FORECAST_STORE, store)
-    (cfg.out_dir / FORECAST_COLUMNS).write_bytes(records_to_npz(table, store))
-    _write_manifest(cfg.out_dir, cfg.seed)
+    (cfg.out_dir / FORECAST_COLUMNS).write_bytes(records_to_npz(table, digest))
+    (cfg.out_dir / FORECAST_PAYLOADS).write_bytes((memo or PayloadMemo()).to_npz(digest))
+    _write_manifest(cfg.out_dir, cfg.seed, (FORECAST_STORE, digest.hex()))
     return 0
 
 

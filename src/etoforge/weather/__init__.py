@@ -6,7 +6,7 @@ from .records import (MAX_HORIZON, PROVIDERS, AlignedPair, AlignResult,
                       read_text)
 from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
                           serialize_ws_csv, ws_schema_text)
-from .providers import (ENV_KEYS, FieldMap, ForecastCache, ProviderMapping,
+from .providers import (ENV_KEYS, FieldMap, ForecastCache, PayloadMemo, ProviderMapping,
                         fetch_forecasts, load_provider_mapping,
                         normalize_payload, records_from_jsonl, records_from_npz,
                         records_to_jsonl, records_to_npz)
@@ -19,7 +19,7 @@ __all__ = [
     "load_ws_schema",
     "parse_ws_csv", "serialize_ws_csv", "ws_schema_text", "ENV_KEYS", "FieldMap",
     "ForecastCache",
-    "ProviderMapping", "fetch_forecasts", "load_provider_mapping",
+    "PayloadMemo", "ProviderMapping", "fetch_forecasts", "load_provider_mapping",
     "normalize_payload", "records_from_jsonl", "records_from_npz", "records_to_jsonl",
     "records_to_npz", "units",
 ]

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..errors import (AuthError, CacheMiss, ProviderSchemaError, RangeError,
                       RateLimited)
-from . import units
+from . import records, units
 from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastTable,
                       SiteMetadata, as_table, check_forecast_values, rejected_rows,
                       sorted_json)
@@ -185,8 +185,8 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
     local day); any other entry a ForecastRecord would reject, or with a value
     that is not a JSON number (a boolean or numeric string included) or not one
     a float holds, is skipped with a warning.
-    Unmapped entry keys are kept as `extras` JSON text. A `tz_offset_hours`
-    that is not finite or lies beyond +/- 24 hours raises RangeError.
+    Unmapped entry keys are kept as `extras` JSON text; the table's `skipped` counts
+    the skipped entries. A `tz_offset_hours` not within +/- 24 hours raises RangeError.
     """
     try:
         doc = json.loads(body)
@@ -200,6 +200,7 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
             f"({mapping.provider} issued {issue_date})")
     shift, issued = tz_shift(tz_offset_hours), issue_date.toordinal()
     target, extras, columns = [], [], {name: [] for name in FORECAST_FIELDS}
+    skipped = 0
     for entry in entries:
         try:
             raw = _walk(entry, mapping.target_date_path)
@@ -222,6 +223,7 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
             check_forecast_values(**values)
         except _ENTRY_ERRORS as exc:
             log.warning("skipping %s entry issued %s: %s", mapping.provider, issue_date, exc)
+            skipped += 1
             continue
         target.append(day)
         for name, column in columns.items():
@@ -229,11 +231,13 @@ def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
         extras.append(sorted_json({k: v for k, v in entry.items() if k not in mapping.consumed}))
     x = np.array(list(columns.values()), dtype=np.float64)   # absent (None) -> NaN
     held = ~np.isnan(x)   # a kept value is finite, so NaN only marks an absent one
-    return ForecastTable(np.full(len(target), PROVIDERS.index(mapping.provider)),
-                         np.array(target, dtype=np.int64), np.full(len(target), issued),
-                         dict(zip(FORECAST_FIELDS, np.where(held, x, 0.0))),
-                         dict(zip(FORECAST_FIELDS, held)),
-                         np.array(extras, dtype=object))
+    table = ForecastTable(np.full(len(target), PROVIDERS.index(mapping.provider)),
+                          np.array(target, dtype=np.int64), np.full(len(target), issued),
+                          dict(zip(FORECAST_FIELDS, np.where(held, x, 0.0))),
+                          dict(zip(FORECAST_FIELDS, held)),
+                          np.array(extras, dtype=object))
+    table.skipped = skipped
+    return table
 
 
 _STORE_LINE = ('{"extras": %s, "issue_date": "%s", "precip": %s, "provider": "%s", '
@@ -277,28 +281,29 @@ _COLUMN_KEYS = ("store_sha256", "provider", "target", "issue", "values", "presen
                 "extras", "extras_index")
 
 
-def records_to_npz(records, store: bytes) -> bytes:
-    """The column sidecar of `store`, the UTF-8 bytes of `records_to_jsonl(records)`.
+def records_to_npz(records, store_sha256: bytes, **members) -> bytes:
+    """The column sidecar of the store `records_to_jsonl(records)`, its SHA-256 `store_sha256`.
 
     An `.npz` archive holding, in store row order, the `provider`,
     `target` and `issue` columns, the field `values` and their `present`
     masks (one row per field of FORECAST_FIELDS), and each row's extras
     text as `extras_index` into `extras`, the UTF-8 JSON array of the
-    distinct texts; `store_sha256` is the SHA-256 of `store`. The same
-    records give the same bytes: the archive's members carry no timestamp.
+    distinct texts; `store_sha256` holds the digest, any `members` (arrays)
+    sit beside. The same records give the same bytes: the archive's members
+    carry no timestamp.
     """
     table = as_table(records)
     order = _store_order(table)
     distinct = {}
     index = [distinct.setdefault(text, len(distinct)) for text in table.extras[order]]
     out = io.BytesIO()
-    np.savez(out, store_sha256=np.frombuffer(hashlib.sha256(store).digest(), dtype=np.uint8),
+    np.savez(out, store_sha256=np.frombuffer(store_sha256, dtype=np.uint8),
              provider=table.provider[order], target=table.target[order],
              issue=table.issue[order],
              values=np.array([table.values[name][order] for name in FORECAST_FIELDS]),
              present=np.array([table.present[name][order] for name in FORECAST_FIELDS]),
              extras=np.frombuffer(json.dumps(list(distinct)).encode("utf-8"), dtype=np.uint8),
-             extras_index=np.array(index, dtype=np.int64))
+             extras_index=np.array(index, dtype=np.int64), **members)
     return out.getvalue()
 
 
@@ -441,10 +446,56 @@ def _fetch_one(provider, site, issue_date, credentials, cache, http_get):
     return body
 
 
+class PayloadMemo:
+    """Payload rows to reuse: `digests` maps (provider code, issue ordinal) to the key
+    (SHA-256 of :func:`_payload_context` and the text) of the payload whose rows `rows`
+    holds. :func:`fetch_forecasts` records this run's: in `clean` the key of each payload
+    whose normalization skipped no entry, in `spill` their rows outside the date range."""
+
+    def __init__(self):
+        self.digests, self.rows, self.clean, self.spill = {}, ForecastTable.concat([]), {}, []
+
+    @classmethod
+    def read(cls, path, sidecar) -> "PayloadMemo":
+        """The memo at `path` with the rows of the column sidecar at `sidecar`; empty unless
+        both are valid (:func:`records_from_npz`) for the store it names. Never raises."""
+        memo = cls()
+        try:
+            with np.load(path) as member:
+                digests = dict(zip(map(tuple, member["payloads"].tolist()),
+                                   map(bytes, member["payload_sha256"])))
+                store_sha256 = member["store_sha256"].tobytes()
+        except Exception:  # any unreadable memo only means every payload is normalized
+            return memo
+        tables = [records_from_npz(p, store_sha256) for p in (sidecar, path)]
+        if None not in tables:
+            memo.digests, memo.rows = digests, ForecastTable.concat(tables)
+        return memo
+
+    def to_npz(self, store_sha256: bytes) -> bytes:
+        """This run's memo, beside the store of SHA-256 `store_sha256`: `spill` and `clean`."""
+        keys = sorted(self.clean)
+        return records_to_npz(
+            ForecastTable.concat(self.spill), store_sha256,
+            payloads=np.array(keys, dtype=np.int64).reshape(-1, 2),
+            payload_sha256=np.array([list(self.clean[k]) for k in keys], np.uint8).reshape(-1, 32))
+
+
+def _payload_context(tz_offset_hours: float) -> bytes:
+    """SHA-256 of what rows depend on besides the payload: offset, version, mappings, code."""
+    from .. import __version__
+    context = hashlib.sha256(repr((float(tz_offset_hours), __version__)).encode("utf-8"))
+    maps = resources.files("etoforge").joinpath("provider_maps")
+    for source in (Path(__file__), Path(records.__file__), Path(units.__file__),
+                   *(maps.joinpath(f"{provider.lower()}.json") for provider in PROVIDERS)):
+        context.update(source.read_bytes())
+    return context.digest()
+
+
 def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
                     credentials: str | None = None, *,
                     cache_dir, offline: bool = False, http_get=None,
-                    tz_offset_hours: float | None = None) -> ForecastTable:
+                    tz_offset_hours: float | None = None, memo=None) -> ForecastTable:
     """Forecasts covering every target date in `date_range` (inclusive), as one table.
 
     For each target date you get up to ``MAX_HORIZON + 1`` rows (d0 up
@@ -453,7 +504,8 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     payload is replayed from the cache when it is there; otherwise it is
     skipped in offline mode, and in online mode fetched and cached
     verbatim before normalization. Offline, CacheMiss is raised only when
-    the whole issue-date window has nothing to replay.
+    the whole issue-date window has nothing to replay. The rows `memo` (a
+    :class:`PayloadMemo`) holds for a payload's key are reused, not normalized.
     """
     if provider not in PROVIDERS:
         raise RangeError(f"unknown provider {provider!r}; expected one of {PROVIDERS}")
@@ -471,6 +523,8 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
             raise AuthError(
                 f"online mode needs credentials ({ENV_KEYS[provider]} unset)")
         http_get = http_get or _default_http_get
+    code, memo = PROVIDERS.index(provider), memo or PayloadMemo()
+    context = _payload_context(tz_offset_hours)
 
     first_issue = start - dt.timedelta(days=MAX_HORIZON)
     bodies = {}
@@ -489,7 +543,17 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     # Every payload is read before any is normalized: interleaving the two
     # fragmented the heap and raised the peak RSS of a later `evaluate` in
     # the same process by about 8 MB (1,460 synthetic days).
-    table = ForecastTable.concat([normalize_payload(body, issued, mapping, tz_offset_hours)
-                                  for issued, body in bodies.items()])
-    rows = np.flatnonzero((table.target >= start.toordinal()) & (table.target <= end.toordinal()))
+    keys = {issued: hashlib.sha256(context + body.encode("utf-8")).digest()
+            for issued, body in bodies.items()}
+    fresh = {issued: normalize_payload(body, issued, mapping, tz_offset_hours) for issued, body
+             in bodies.items() if memo.digests.get((code, issued.toordinal())) != keys[issued]}
+    held = (memo.rows.provider == code) & np.isin(
+        memo.rows.issue, [issued.toordinal() for issued in bodies if issued not in fresh])
+    table = ForecastTable.concat([*fresh.values(), memo.rows.take(np.flatnonzero(held))])
+    clean = {issued.toordinal(): keys[issued] for issued in bodies
+             if issued not in fresh or not fresh[issued].skipped}
+    memo.clean.update(((code, day), key) for day, key in clean.items())
+    inside = (table.target >= start.toordinal()) & (table.target <= end.toordinal())
+    memo.spill.append(table.take(np.flatnonzero(~inside & np.isin(table.issue, list(clean)))))
+    rows = np.flatnonzero(inside)
     return table.take(rows[np.lexsort((table.horizon[rows], table.target[rows]))])

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, outputs, determinism, calculator."""
 
 import dataclasses
+import datetime as dt
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from etoforge import cli, regressor
 from etoforge.cli import main
 from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
                                 write_synthetic_cache)
-from etoforge.weather import (ForecastTable, records_from_jsonl, records_from_npz,
+from etoforge.weather import (ForecastTable, providers, records_from_jsonl, records_from_npz,
                               records_to_jsonl, records_to_npz, serialize_ws_csv,
                               ws_schema_text)
 
@@ -489,7 +490,8 @@ def _stale_sidecar(path):
     """The sidecar of another store: every temp_max half a degree warmer."""
     table = records_from_jsonl((path.parent / "forecasts.jsonl").read_text())
     warmer = [dataclasses.replace(r, temp_max=r.temp_max + 0.5) for r in table]
-    path.write_bytes(records_to_npz(warmer, records_to_jsonl(warmer).encode()))
+    path.write_bytes(records_to_npz(warmer, hashlib.sha256(records_to_jsonl(warmer).encode())
+                                    .digest()))
 
 
 def _flip_bytes(path):
@@ -699,6 +701,202 @@ def test_cache_payload_fault_matrix(payload_ws, tmp_path, capsys, provider, faul
     assert len(lost) == 1
     kept = [line for line in store if line != lost[0]]
     assert (root / "out" / "forecasts.jsonl").read_text().splitlines() == kept
+
+
+INGEST = ["ingest", "forecast", "--offline"]
+
+
+def _ingest_outputs(ws, root, capsys, monkeypatch, *options):
+    """(exit code, stdout, stderr, out/ files by name, payloads normalized) of
+    `ingest forecast --offline` run in this process in the copy at `root`,
+    with the copy's path written as ROOT."""
+    normalized = []
+    normalize = providers.normalize_payload
+
+    def counting(body, issue_date, mapping, *args):
+        normalized.append((mapping.provider, issue_date))
+        return normalize(body, issue_date, mapping, *args)
+
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(providers, "normalize_payload", counting)
+        code = _run_in_copy(ws, root, INGEST + list(options))
+    out, err = (text.replace(str(root), "ROOT") for text in capsys.readouterr())
+    files = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    return code, out, err, files, normalized
+
+
+def _cold_copy(ws, root, edit=None):
+    """A copy of `ws` at `root` without its payload memo, after `edit(root)`."""
+    shutil.copytree(ws["root"], root)
+    (root / "out" / cli.FORECAST_PAYLOADS).unlink()
+    if edit is not None:
+        edit(root)
+
+
+def _on_memo(fault):
+    """`fault` as a memo fault: applied to the memo of the workspace copy at `root`."""
+    return lambda ws, root: fault(root / "out" / cli.FORECAST_PAYLOADS)
+
+
+def _other_tz(ws, root):
+    """The memo, store and sidecar of an ingest under another local-time offset,
+    under which the OWM payloads give other target dates."""
+    store = (root / "out" / "forecasts.jsonl").read_bytes()
+    assert _run_in_copy(ws, root, INGEST + ["--set", "tz_offset_hours=13"]) == 0
+    assert (root / "out" / "forecasts.jsonl").read_bytes() != store
+    yield
+
+
+@_once
+def _other_store(path):
+    """The memo re-packed to name another store than the sidecar beside it does."""
+    _repacked(path, lambda members: members.update(store_sha256=np.frombuffer(
+        hashlib.sha256(b"another store").digest(), dtype=np.uint8)))
+
+
+MEMO_FAULTS = {
+    "truncated": _on_memo(_once(_truncate)),
+    "crc": _on_memo(_flip_bytes),
+    "garbage": _on_memo(SIDECAR_FAULTS["random-bytes"]),
+    "empty": _on_memo(SIDECAR_FAULTS["empty"]),
+    "other-tz": _other_tz,
+    "other-store": _on_memo(_other_store),
+    "no-sidecar": _on_memo(_once(lambda path: (path.parent / cli.FORECAST_COLUMNS).unlink())),
+}
+
+
+@pytest.mark.parametrize("fault", MEMO_FAULTS)
+def test_payload_memo_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch, fault):
+    """The payload-memo rows of the fault matrix: a broken, stale or orphaned memo
+    is never an error; `ingest forecast` then normalizes every payload and gives
+    the exit code, output and `out/` bytes of a run without a memo."""
+    _cold_copy(payload_ws, tmp_path / "base")
+    expected = _ingest_outputs(payload_ws, tmp_path / "base", capsys, monkeypatch)
+    assert expected[0] == 0 and expected[4], expected[2]
+    root = tmp_path / "ws"
+    shutil.copytree(payload_ws["root"], root)
+    for _ in MEMO_FAULTS[fault](payload_ws, root):
+        got = _ingest_outputs(payload_ws, root, capsys, monkeypatch)
+        assert got[:4] == expected[:4]
+        if fault != "crc":   # a flip in a field the zip reader ignores leaves the memo valid
+            assert got[4] == expected[4]
+
+
+def _edit_payload(provider, issued, edit):
+    """An edit of the cached payload of `provider` issued on `issued`: `edit(its entries)`."""
+    def change(root):
+        path = root / "cache" / provider / f"{issued}.json"
+        doc = json.loads(path.read_text())
+        edit(doc["days"] if provider == "vc" else doc["list"])
+        path.write_text(json.dumps(doc))
+    return change
+
+
+def test_warm_ingest_normalizes_only_the_changed_payload(payload_ws, tmp_path, capsys,
+                                                         monkeypatch):
+    """A warm `ingest forecast` after one cached payload changed normalizes that
+    payload alone, and writes the bytes a run without a memo writes."""
+    issued = payload_ws["issued"]
+    edit = _edit_payload("vc", issued, lambda days: days[1].update(tempmax=days[1]["tempmax"] + 1))
+    _cold_copy(payload_ws, tmp_path / "cold", edit)
+    expected = _ingest_outputs(payload_ws, tmp_path / "cold", capsys, monkeypatch)
+    root = tmp_path / "warm"
+    shutil.copytree(payload_ws["root"], root)
+    edit(root)
+    got = _ingest_outputs(payload_ws, root, capsys, monkeypatch)
+    assert got[4] == [("VC", dt.date.fromisoformat(issued))]
+    assert got[:4] == expected[:4] and expected[0] == 0
+    assert got[3]["forecasts.jsonl"] != (payload_ws["root"] / "out" /
+                                         "forecasts.jsonl").read_bytes()
+
+
+def test_warm_ingest_of_a_later_end_date_gives_the_cold_bytes(payload_ws, tmp_path, capsys,
+                                                              monkeypatch):
+    """After an ingest up to the day before, an ingest up to the last observed day
+    normalizes only that day's payloads, takes the rows the old payloads hold for
+    it from the memo, and writes the bytes a run without a memo writes."""
+    _cold_copy(payload_ws, tmp_path / "cold")
+    expected = _ingest_outputs(payload_ws, tmp_path / "cold", capsys, monkeypatch)
+    last = max(issued for _, issued in expected[4])
+    root = tmp_path / "warm"
+    shutil.copytree(payload_ws["root"], root)
+    earlier = _ingest_outputs(payload_ws, root, capsys, monkeypatch,
+                              "--set", f"end_date={last - dt.timedelta(days=1)}")
+    assert earlier[0] == 0
+    assert f'"target_date": "{last}"' not in earlier[3]["forecasts.jsonl"].decode()
+    got = _ingest_outputs(payload_ws, root, capsys, monkeypatch)
+    assert got[:4] == expected[:4] and expected[0] == 0
+    assert got[4] == [(provider, issued) for provider, issued in expected[4] if issued == last]
+    assert len(got[4]) == 2
+
+
+def test_skip_warnings_replay_on_a_warm_ingest(payload_ws, tmp_path):
+    """A payload that had an entry skipped is not memoized: a warm run prints the
+    cold run's warnings and writes its bytes, and the memo is the same after both."""
+    root = tmp_path / "ws"
+    _cold_copy(payload_ws, root, _edit_payload(
+        "owm", payload_ws["issued"], lambda days: days[0]["temp"].update(max="hot")))
+    runs = []
+    for _ in range(2):
+        done = _run_cli(_copy_argv(payload_ws, root, INGEST))
+        runs.append((done.returncode, done.stdout, done.stderr, _file_bytes(root / "out")))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    (warning,) = runs[0][2].splitlines()
+    assert warning.startswith(f"skipping OWM entry issued {payload_ws['issued']}: ")
+    with np.load(root / "out" / cli.FORECAST_PAYLOADS) as memo:
+        keys = memo["payloads"].tolist()
+    skipped = [1, dt.date.fromisoformat(payload_ws["issued"]).toordinal()]
+    assert skipped not in keys and [0, skipped[1]] in keys
+
+
+def test_payload_memo_is_the_same_after_a_cold_and_a_warm_ingest(payload_ws, tmp_path):
+    """The memo is a function of the payloads read: a cold and a warm run write its bytes."""
+    root = tmp_path / "ws"
+    _cold_copy(payload_ws, root)
+    memos = []
+    for _ in range(2):
+        assert _run_in_copy(payload_ws, root, INGEST) == 0
+        memos.append((root / "out" / cli.FORECAST_PAYLOADS).read_bytes())
+    assert memos[0] == memos[1]
+    assert memos[0] == (payload_ws["root"] / "out" / cli.FORECAST_PAYLOADS).read_bytes()
+
+
+def test_a_repeated_provider_leaves_no_memo_to_reuse(payload_ws, tmp_path, capsys, monkeypatch):
+    """A provider listed twice puts its rows in the sidecar twice, so that run
+    neither reuses nor records a payload, and the next run normalizes them all."""
+    _cold_copy(payload_ws, tmp_path / "cold")
+    expected = _ingest_outputs(payload_ws, tmp_path / "cold", capsys, monkeypatch)
+    root = tmp_path / "ws"
+    shutil.copytree(payload_ws["root"], root)
+    twice = _ingest_outputs(payload_ws, root, capsys, monkeypatch,
+                            "--set", "providers=VC,OWM,VC")
+    assert twice[0] == 0 and len(twice[4]) == len(expected[4]) + len(expected[4]) // 2
+    assert _ingest_outputs(payload_ws, root, capsys, monkeypatch)[3:] == expected[3:]
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["warm", "cold"])
+def test_ingest_forecast_hashes_the_store_once(payload_ws, tmp_path, monkeypatch, memo):
+    """`ingest forecast` hashes the store it writes once: for the sidecar, the
+    memo and the manifest."""
+    root = tmp_path / "ws"
+    shutil.copytree(payload_ws["root"], root)
+    if not memo:
+        (root / "out" / cli.FORECAST_PAYLOADS).unlink()
+    store = (root / "out" / "forecasts.jsonl").read_bytes()
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def counting(data=b""):
+        hashed.append(len(data) if data == store else 0)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    assert _run_in_copy(payload_ws, root, INGEST) == 0
+    assert (root / "out" / "forecasts.jsonl").read_bytes() == store
+    assert sum(hashed) == len(store) > 0
+    manifest = json.loads((root / "out" / "manifest.json").read_text())
+    assert manifest["files"]["forecasts.jsonl"] == sha256(store).hexdigest()
 
 
 def test_forecast_sidecar_is_byte_stable(small_ws, tmp_path):

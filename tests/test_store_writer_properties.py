@@ -89,8 +89,8 @@ def test_store_writer_is_byte_identical_to_json_dumps(rows):
     # a parsed store's extras re-encode to the ingested texts, through the text and the sidecar
     assert records_to_jsonl(records_from_jsonl(store)) == store
     data = store.encode("utf-8")
-    loaded = records_from_npz(io.BytesIO(records_to_npz(table, data)),
-                              hashlib.sha256(data).digest())
+    digest = hashlib.sha256(data).digest()
+    loaded = records_from_npz(io.BytesIO(records_to_npz(table, digest)), digest)
     in_store_order = sorted(range(len(table)), key=lambda i: (
         table[i].provider, table.target[i], table.issue[i]))
     assert loaded.extras.tolist() == table.extras[in_store_order].tolist()
