@@ -23,9 +23,9 @@ from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import CorruptModel, EmptyInput, EtoforgeError, MissingCells, VersionMismatch
 from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, PayloadMemo, WsSchema,
-                      decode_utf8, fetch_forecasts, load_ws_schema, parse_ws_csv,
-                      records_from_jsonl, records_from_npz, records_to_jsonl, records_to_npz,
-                      serialize_ws_csv, ws_schema_text)
+                      decode_utf8, fetch_forecasts, holds_store_rows, load_ws_schema,
+                      parse_ws_csv, records_from_jsonl, records_from_npz, records_to_jsonl,
+                      records_to_npz, serialize_ws_csv, ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
@@ -77,14 +77,20 @@ def _load_observations(cfg):
     return _parse_station_csv(store, schema or WsSchema.canonical())
 
 
+def _read_store(out_dir: Path):
+    """(bytes, SHA-256 digest, sidecar table) of the forecast store in out_dir;
+    the table is None unless the sidecar is valid for those bytes."""
+    data = (out_dir / FORECAST_STORE).read_bytes()
+    digest = hashlib.sha256(data).digest()
+    return data, digest, records_from_npz(out_dir / FORECAST_COLUMNS, digest)
+
+
 def _load_forecasts(cfg):
     """(the forecast table, the store's (name, SHA-256 hex digest) for the manifest)."""
     store = cfg.out_dir / FORECAST_STORE
     if not store.is_file():
         raise ConfigError(f"no ingested forecasts at {store}; run `ingest forecast` first")
-    data = store.read_bytes()
-    digest = hashlib.sha256(data).digest()
-    table = records_from_npz(cfg.out_dir / FORECAST_COLUMNS, digest)
+    data, digest, table = _read_store(cfg.out_dir)
     if table is None:
         table = records_from_jsonl(decode_utf8(data, store))
     if not len(table):
@@ -139,8 +145,14 @@ def cmd_ingest_forecast(cfg) -> int:
                               if cfg.start_date else
                               f"end_date={end} is before the first observed date {start}")
     site = cfg.site()
+    # the store on disk is hashed before the fetch: its sidecar's rows feed the memo,
+    # and when they are the new rows the store's bytes are kept, not formatted again
+    try:
+        store, digest, stored = _read_store(cfg.out_dir)
+    except OSError:   # no store, or none that reads: this ingest writes one
+        store = digest = stored = None
     # a provider listed twice has its rows twice in the sidecar, where no memo key tells them apart
-    memo = (PayloadMemo.read(cfg.out_dir / FORECAST_PAYLOADS, cfg.out_dir / FORECAST_COLUMNS)
+    memo = (PayloadMemo.read(cfg.out_dir / FORECAST_PAYLOADS, stored, digest)
             if len(set(cfg.providers)) == len(cfg.providers) else None)
     tables = []
     for provider in cfg.providers:
@@ -156,8 +168,9 @@ def cmd_ingest_forecast(cfg) -> int:
         print(f"{provider}: {len(table)} forecast records across "
               f"{days.size} target dates, {spread} horizons per date")
     table = ForecastTable.concat(tables)
-    store = records_to_jsonl(table).encode("utf-8")
-    digest = hashlib.sha256(store).digest()
+    if stored is None or not holds_store_rows(stored, table):
+        store = records_to_jsonl(table).encode("utf-8")
+        digest = hashlib.sha256(store).digest()
     _write(cfg.out_dir, FORECAST_STORE, store)
     (cfg.out_dir / FORECAST_COLUMNS).write_bytes(records_to_npz(table, digest))
     (cfg.out_dir / FORECAST_PAYLOADS).write_bytes((memo or PayloadMemo()).to_npz(digest))

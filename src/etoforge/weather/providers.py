@@ -130,24 +130,25 @@ class ForecastCache:
     def __init__(self, root):
         self.root = Path(root)
 
-    def path(self, provider: str, issue_date: dt.date) -> Path:
-        return self.root / provider.lower() / f"{issue_date.isoformat()}.json"
+    def path(self, provider: str, issue_date: dt.date) -> str:
+        return os.path.join(self.root, provider.lower(), f"{issue_date.isoformat()}.json")
 
     def read(self, provider: str, issue_date: dt.date) -> str:
-        p = self.path(provider, issue_date)
-        if not p.is_file():
-            raise CacheMiss(f"no cached payload for {provider} issued {issue_date}")
+        """The cached body; CacheMiss where no file is there (a directory included)."""
         try:
-            return p.read_text(encoding="utf-8")
+            with open(self.path(provider, issue_date), encoding="utf-8") as fh:
+                return fh.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise CacheMiss(f"no cached payload for {provider} issued {issue_date}") from None
         except UnicodeDecodeError as exc:
             raise ProviderSchemaError(
                 f"payload is not UTF-8 ({provider} issued {issue_date}): {exc}") from exc
 
-    def write(self, provider: str, issue_date: dt.date, body: str) -> Path:
+    def write(self, provider: str, issue_date: dt.date, body: str) -> str:
         """Atomic write: temp file in the same directory, then rename."""
         p = self.path(provider, issue_date)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=p.parent, suffix=".tmp")
+        os.makedirs(os.path.dirname(p), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(p), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(body)
@@ -275,6 +276,23 @@ def records_to_jsonl(records) -> str:
 def _store_order(table: ForecastTable) -> np.ndarray:
     """The store's row order: by (provider name, target date, issue date), stably."""
     return np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
+
+
+def holds_store_rows(stored: ForecastTable, table: ForecastTable) -> bool:
+    """Whether `stored`, a table in store order (a sidecar's), holds exactly the rows
+    of `table`, so `records_to_jsonl` gives both the same text. Present values are
+    compared bit for bit: -0.0 == 0.0, but their store texts differ."""
+    order = _store_order(table)
+    if not all(np.array_equal(getattr(stored, key), getattr(table, key)[order])
+               for key in ("provider", "target", "issue", "extras")):
+        return False
+    for name in FORECAST_FIELDS:
+        present = stored.present[name]
+        if not (np.array_equal(present, table.present[name][order])
+                and np.array_equal(stored.values[name][present].view(np.uint64),
+                                   table.values[name][order][present].view(np.uint64))):
+            return False
+    return True
 
 
 _COLUMN_KEYS = ("store_sha256", "provider", "target", "issue", "values", "present",
@@ -456,20 +474,22 @@ class PayloadMemo:
         self.digests, self.rows, self.clean, self.spill = {}, ForecastTable.concat([]), {}, []
 
     @classmethod
-    def read(cls, path, sidecar) -> "PayloadMemo":
-        """The memo at `path` with the rows of the column sidecar at `sidecar`; empty unless
-        both are valid (:func:`records_from_npz`) for the store it names. Never raises."""
+    def read(cls, path, stored, store_sha256: bytes) -> "PayloadMemo":
+        """The memo at `path` with the rows of `stored`, the column sidecar's table of
+        the store of SHA-256 `store_sha256`; empty unless `stored` is a table and the
+        memo is valid (:func:`records_from_npz`) for that store. Never raises."""
         memo = cls()
+        if stored is None:
+            return memo
         try:
             with np.load(path) as member:
                 digests = dict(zip(map(tuple, member["payloads"].tolist()),
                                    map(bytes, member["payload_sha256"])))
-                store_sha256 = member["store_sha256"].tobytes()
         except Exception:  # any unreadable memo only means every payload is normalized
             return memo
-        tables = [records_from_npz(p, store_sha256) for p in (sidecar, path)]
-        if None not in tables:
-            memo.digests, memo.rows = digests, ForecastTable.concat(tables)
+        spill = records_from_npz(path, store_sha256)
+        if spill is not None:
+            memo.digests, memo.rows = digests, ForecastTable.concat([stored, spill])
         return memo
 
     def to_npz(self, store_sha256: bytes) -> bytes:

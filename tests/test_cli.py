@@ -877,8 +877,8 @@ def test_a_repeated_provider_leaves_no_memo_to_reuse(payload_ws, tmp_path, capsy
 
 @pytest.mark.parametrize("memo", [True, False], ids=["warm", "cold"])
 def test_ingest_forecast_hashes_the_store_once(payload_ws, tmp_path, monkeypatch, memo):
-    """`ingest forecast` hashes the store it writes once: for the sidecar, the
-    memo and the manifest."""
+    """`ingest forecast` over unchanged payloads hashes the store once: the bytes
+    on disk, which it keeps, for the sidecar, the memo and the manifest."""
     root = tmp_path / "ws"
     shutil.copytree(payload_ws["root"], root)
     if not memo:
@@ -897,6 +897,107 @@ def test_ingest_forecast_hashes_the_store_once(payload_ws, tmp_path, monkeypatch
     assert sum(hashed) == len(store) > 0
     manifest = json.loads((root / "out" / "manifest.json").read_text())
     assert manifest["files"]["forecasts.jsonl"] == sha256(store).hexdigest()
+
+
+REUSE_CASES = ([("store", fault, sidecar) for fault in STORE_FAULTS
+                for sidecar in ("sidecar", "no-sidecar")]
+               + [("sidecar", fault, None) for fault in SIDECAR_FAULTS])
+
+
+@pytest.mark.parametrize("artifact, fault, sidecar", REUSE_CASES,
+                         ids=["-".join(filter(None, case)) for case in REUSE_CASES])
+def test_store_reuse_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch,
+                                  artifact, fault, sidecar):
+    """The store-reuse rows of the fault matrix: after a broken store (its sidecar
+    kept or deleted) or a broken sidecar beside a valid store, a warm `ingest
+    forecast` gives the exit code, output and `out/` bytes of a run whose store and
+    sidecar were deleted first. A broken store is written again, never kept."""
+    base = tmp_path / "base"
+    shutil.copytree(payload_ws["root"], base)
+    for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS):
+        (base / "out" / name).unlink()
+    expected = _ingest_outputs(payload_ws, base, capsys, monkeypatch)
+    assert expected[0] == 0, expected[2]
+    assert expected[3][cli.FORECAST_STORE] == (payload_ws["root"] / "out" /
+                                               cli.FORECAST_STORE).read_bytes()
+    root = tmp_path / "ws"
+    shutil.copytree(payload_ws["root"], root)
+    if artifact == "store":
+        if sidecar == "no-sidecar":
+            (root / "out" / cli.FORECAST_COLUMNS).unlink()
+        faults = _once(STORE_FAULTS[fault][0])(root / "out" / cli.FORECAST_STORE)
+    else:
+        faults = SIDECAR_FAULTS[fault](root / "out" / cli.FORECAST_COLUMNS)
+    for _ in faults:
+        assert _ingest_outputs(payload_ws, root, capsys, monkeypatch)[:4] == expected[:4]
+
+
+def _formatting(monkeypatch):
+    """The list of the row counts of the `records_to_jsonl` calls `cli` makes from now."""
+    calls = []
+    format_store = cli.records_to_jsonl
+
+    def counting(table):
+        calls.append(len(table))
+        return format_store(table)
+
+    monkeypatch.setattr(cli, "records_to_jsonl", counting)
+    return calls
+
+
+def test_unchanged_warm_ingest_formats_no_store(payload_ws, tmp_path, capsys, monkeypatch):
+    """A warm `ingest forecast` over unchanged payloads normalizes none, formats no
+    store text and leaves every `out/` file as it was."""
+    root = tmp_path / "ws"
+    shutil.copytree(payload_ws["root"], root)
+    before = _file_bytes(root / "out")
+    calls = _formatting(monkeypatch)
+    got = _ingest_outputs(payload_ws, root, capsys, monkeypatch)
+    assert got[0] == 0 and got[4] == [] and calls == []
+    assert _file_bytes(root / "out") == before
+
+
+STORE_CHANGES = {   # runs of (values set in a VC entry, options); the last run is counted
+    "value": [({"tempmax": 30.5}, [])],
+    "end-date": [(None, ["--set", "end_date={issued}"])],
+    "extras-only": [({"conditions": "rain"}, [])],
+    # -0.0 == 0.0, but the store writes them as "-0.0" and "0.0"
+    "zero-to-negative-zero": [({"precip": 0.0}, []), ({"precip": -0.0}, [])],
+}
+
+
+@pytest.mark.parametrize("change", STORE_CHANGES)
+def test_changed_rows_format_the_store_once(payload_ws, tmp_path, capsys, monkeypatch, change):
+    """A warm `ingest forecast` whose rows differ from the sidecar's, in one value, its
+    date range, one entry's extras alone or the sign of a zero, formats the store once
+    and writes the bytes of a run without a store, sidecar or memo."""
+    issued = payload_ws["issued"]
+    runs = [(values and _edit_payload("vc", issued, lambda days, v=values: days[1].update(v)),
+             [option.format(issued=issued) for option in options])
+            for values, options in STORE_CHANGES[change]]
+    cold = tmp_path / "cold"
+    shutil.copytree(payload_ws["root"], cold)
+    for edit, _ in runs:
+        if edit:
+            edit(cold)
+    for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS, cli.FORECAST_PAYLOADS):
+        (cold / "out" / name).unlink()
+    expected = _ingest_outputs(payload_ws, cold, capsys, monkeypatch, *runs[-1][1])
+    assert expected[0] == 0, expected[2]
+    root = tmp_path / "warm"
+    shutil.copytree(payload_ws["root"], root)
+    calls = _formatting(monkeypatch)
+    for edit, options in runs:
+        calls.clear()
+        if edit:
+            edit(root)
+        got = _ingest_outputs(payload_ws, root, capsys, monkeypatch, *options)
+    assert len(calls) == 1
+    assert got[:4] == expected[:4]
+    assert got[3][cli.FORECAST_STORE] != (payload_ws["root"] / "out" /
+                                          cli.FORECAST_STORE).read_bytes()
+    if change == "zero-to-negative-zero":
+        assert b'"precip": -0.0, ' in got[3][cli.FORECAST_STORE]
 
 
 def test_forecast_sidecar_is_byte_stable(small_ws, tmp_path):

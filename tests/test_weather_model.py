@@ -735,3 +735,23 @@ def test_cache_write_is_atomic_no_temp_left(tmp_path):
     assert leftovers == []
     assert cache.read("VC", D(2022, 6, 1)) == "{}"
 
+
+def test_cache_read_misses_where_no_payload_file_is(tmp_path):
+    """No payload file, a directory in its place, or a file in place of the
+    provider's directory is a CacheMiss; a payload that is not UTF-8 raises
+    ProviderSchemaError naming it; line ends read as text mode reads them."""
+    cache = ForecastCache(tmp_path)
+    with pytest.raises(CacheMiss, match="no cached payload for VC issued 2022-06-01"):
+        cache.read("VC", D(2022, 6, 1))
+    Path(cache.path("VC", D(2022, 6, 1))).mkdir(parents=True)
+    with pytest.raises(CacheMiss, match="no cached payload for VC issued 2022-06-01"):
+        cache.read("VC", D(2022, 6, 1))
+    (tmp_path / "owm").write_text("{}")
+    with pytest.raises(CacheMiss, match="no cached payload for OWM issued 2022-06-01"):
+        cache.read("OWM", D(2022, 6, 1))
+    Path(cache.path("VC", D(2022, 6, 2))).write_bytes(b'{"days": "\xff"}')
+    with pytest.raises(ProviderSchemaError, match=r"payload is not UTF-8 \(VC issued 2022-06-02\)"):
+        cache.read("VC", D(2022, 6, 2))
+    Path(cache.path("VC", D(2022, 6, 3))).write_bytes(b'{\r\n}\r')
+    assert cache.read("VC", D(2022, 6, 3)) == "{\n}\n"
+
