@@ -1,4 +1,5 @@
-"""Time `ingest forecast --offline` at 365 and 1,460 days, cold and warm, and print the ratios.
+"""Time `ingest forecast --offline` at 365 and 1,460 days, cold, warm and on a new
+observed day, and print the ratios.
 
     PYTHONPATH=src python3 scripts/ingest_scaling.py
 
@@ -10,11 +11,15 @@ process three times cold, as a first ingest: the store
 memo (`forecast_payloads.npz`) are deleted before each run, so every
 payload is normalized and the store is formatted. It then runs three
 times warm, over what the run before wrote: no payload is normalized and
-the store's bytes are kept. The best time of each kind counts. Linear
-growth reads 4.0x.
+the store's bytes are kept. Last it runs three times on a new observed
+day: each run follows an untimed one with `end_date` one day before the
+last observed date, so the range gains a day, one payload per provider is
+normalized and only that day's rows are formatted. The best time of each
+kind counts. Linear growth reads 4.0x.
 """
 
 import contextlib
+import datetime as dt
 import io
 import sys
 import tempfile
@@ -31,7 +36,7 @@ REPEATS = 3
 
 
 def best_ingest_seconds(root: Path, n_days: int) -> dict:
-    """{"cold": best seconds, "warm": best seconds} of `ingest forecast` at `n_days`."""
+    """{kind: best seconds} of `ingest forecast` at `n_days`, for each kind of run."""
     site, observations, forecasts = synthetic_dataset(seed=SEED, n_days=n_days)
     (root / "ws.csv").write_text(serialize_ws_csv(observations), encoding="utf-8")
     (root / "ws.schema").write_text(ws_schema_text(), encoding="utf-8")
@@ -45,9 +50,13 @@ def best_ingest_seconds(root: Path, n_days: int) -> dict:
         f"out_dir = {root / 'out'}\n", encoding="utf-8")
     written = [root / "out" / name
                for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS, cli.FORECAST_PAYLOADS)]
-    runs = [("setup", ["ingest", "ws"])] + [(kind, ["ingest", "forecast", "--offline"])
-                                            for kind in ("cold", "warm") for _ in range(REPEATS)]
-    times = {"cold": [], "warm": []}
+    ingest = ["ingest", "forecast", "--offline"]
+    day_before = observations[-1].date - dt.timedelta(days=1)
+    runs = ([("setup", ["ingest", "ws"])]
+            + [(kind, ingest) for kind in ("cold", "warm") for _ in range(REPEATS)]
+            + [run for _ in range(REPEATS) for run in
+               (("setup", ingest + ["--set", f"end_date={day_before}"]), ("next-day", ingest))])
+    times = {"cold": [], "warm": [], "next-day": []}
     for kind, argv in runs:
         if kind == "cold":
             for path in written:
@@ -66,10 +75,11 @@ def main() -> int:
     for n_days in SIZES:
         with tempfile.TemporaryDirectory() as tmp:
             seconds[n_days] = best_ingest_seconds(Path(tmp), n_days)
-        print(f"{n_days} days: cold {seconds[n_days]['cold']:.3f} s, "
-              f"warm {seconds[n_days]['warm']:.3f} s (best of {REPEATS} each)")
+        print(f"{n_days} days: " + ", ".join(f"{kind} {best:.3f} s" for kind, best
+                                             in seconds[n_days].items())
+              + f" (best of {REPEATS} each)")
     small, large = SIZES
-    for kind in ("cold", "warm"):
+    for kind in seconds[small]:
         print(f"{kind} ratio {large}/{small} days: "
               f"{seconds[large][kind] / seconds[small][kind]:.2f}x")
     return 0

@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -23,9 +24,9 @@ from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import CorruptModel, EmptyInput, EtoforgeError, MissingCells, VersionMismatch
 from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, PayloadMemo, WsSchema,
-                      decode_utf8, fetch_forecasts, holds_store_rows, load_ws_schema,
-                      parse_ws_csv, records_from_jsonl, records_from_npz, records_to_jsonl,
-                      records_to_npz, serialize_ws_csv, ws_schema_text)
+                      decode_utf8, fetch_forecasts, load_ws_schema, parse_ws_csv,
+                      records_from_jsonl, records_from_npz, records_to_jsonl, records_to_npz,
+                      serialize_ws_csv, splice_store, ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
@@ -77,12 +78,33 @@ def _load_observations(cfg):
     return _parse_station_csv(store, schema or WsSchema.canonical())
 
 
-def _read_store(out_dir: Path):
-    """(bytes, SHA-256 digest, sidecar table) of the forecast store in out_dir;
-    the table is None unless the sidecar is valid for those bytes."""
-    data = (out_dir / FORECAST_STORE).read_bytes()
-    digest = hashlib.sha256(data).digest()
-    return data, digest, records_from_npz(out_dir / FORECAST_COLUMNS, digest)
+def _read_columns(out_dir: Path):
+    """(the SHA-256 digest the column sidecar in out_dir names, its table for that
+    store); (None, None) when it does not read as a sidecar."""
+    path = out_dir / FORECAST_COLUMNS
+    try:
+        with np.load(path) as member:
+            digest = member["store_sha256"].tobytes()
+    except Exception:  # any unreadable sidecar only means no row is known
+        return None, None
+    return digest, records_from_npz(path, digest)
+
+
+def _format_store(table, out_dir: Path, named, stored):
+    """(bytes, SHA-256 digest) of the store of `table`. When the store in out_dir has
+    the digest `named` its sidecar names, and `stored` is that sidecar's table, the
+    lines of the rows it holds are copied from it (:func:`splice_store`)."""
+    old = None
+    if stored is not None:
+        with contextlib.suppress(OSError):
+            old = (out_dir / FORECAST_STORE).read_bytes()
+        if old is not None and hashlib.sha256(old).digest() != named:
+            old = None   # not held while the store is formatted
+    if old is None:
+        store = records_to_jsonl(table).encode("utf-8")
+        return store, hashlib.sha256(store).digest()
+    store = splice_store(table, stored, old)
+    return store, (named if store is old else hashlib.sha256(store).digest())
 
 
 def _load_forecasts(cfg):
@@ -90,7 +112,9 @@ def _load_forecasts(cfg):
     store = cfg.out_dir / FORECAST_STORE
     if not store.is_file():
         raise ConfigError(f"no ingested forecasts at {store}; run `ingest forecast` first")
-    data, digest, table = _read_store(cfg.out_dir)
+    data = store.read_bytes()
+    digest = hashlib.sha256(data).digest()
+    table = records_from_npz(cfg.out_dir / FORECAST_COLUMNS, digest)
     if table is None:
         table = records_from_jsonl(decode_utf8(data, store))
     if not len(table):
@@ -145,14 +169,11 @@ def cmd_ingest_forecast(cfg) -> int:
                               if cfg.start_date else
                               f"end_date={end} is before the first observed date {start}")
     site = cfg.site()
-    # the store on disk is hashed before the fetch: its sidecar's rows feed the memo,
-    # and when they are the new rows the store's bytes are kept, not formatted again
-    try:
-        store, digest, stored = _read_store(cfg.out_dir)
-    except OSError:   # no store, or none that reads: this ingest writes one
-        store = digest = stored = None
+    # the sidecar's rows feed the memo; after the fetch, the lines of those still in the
+    # store are copied from the store on disk, once its hash shows the sidecar is its own
+    named, stored = _read_columns(cfg.out_dir)
     # a provider listed twice has its rows twice in the sidecar, where no memo key tells them apart
-    memo = (PayloadMemo.read(cfg.out_dir / FORECAST_PAYLOADS, stored, digest)
+    memo = (PayloadMemo.read(cfg.out_dir / FORECAST_PAYLOADS, stored, named)
             if len(set(cfg.providers)) == len(cfg.providers) else None)
     tables = []
     for provider in cfg.providers:
@@ -168,9 +189,7 @@ def cmd_ingest_forecast(cfg) -> int:
         print(f"{provider}: {len(table)} forecast records across "
               f"{days.size} target dates, {spread} horizons per date")
     table = ForecastTable.concat(tables)
-    if stored is None or not holds_store_rows(stored, table):
-        store = records_to_jsonl(table).encode("utf-8")
-        digest = hashlib.sha256(store).digest()
+    store, digest = _format_store(table, cfg.out_dir, named, stored)
     _write(cfg.out_dir, FORECAST_STORE, store)
     (cfg.out_dir / FORECAST_COLUMNS).write_bytes(records_to_npz(table, digest))
     (cfg.out_dir / FORECAST_PAYLOADS).write_bytes((memo or PayloadMemo()).to_npz(digest))

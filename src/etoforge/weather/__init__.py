@@ -7,9 +7,9 @@ from .records import (MAX_HORIZON, PROVIDERS, AlignedPair, AlignResult,
 from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
                           serialize_ws_csv, ws_schema_text)
 from .providers import (ENV_KEYS, FieldMap, ForecastCache, PayloadMemo, ProviderMapping,
-                        fetch_forecasts, holds_store_rows, load_provider_mapping,
+                        fetch_forecasts, load_provider_mapping,
                         normalize_payload, records_from_jsonl, records_from_npz,
-                        records_to_jsonl, records_to_npz)
+                        records_to_jsonl, records_to_npz, splice_store)
 from . import units
 
 __all__ = [
@@ -19,8 +19,7 @@ __all__ = [
     "load_ws_schema",
     "parse_ws_csv", "serialize_ws_csv", "ws_schema_text", "ENV_KEYS", "FieldMap",
     "ForecastCache",
-    "PayloadMemo", "ProviderMapping", "fetch_forecasts", "holds_store_rows",
-    "load_provider_mapping",
+    "PayloadMemo", "ProviderMapping", "fetch_forecasts", "load_provider_mapping",
     "normalize_payload", "records_from_jsonl", "records_from_npz", "records_to_jsonl",
-    "records_to_npz", "units",
+    "records_to_npz", "splice_store", "units",
 ]

@@ -278,21 +278,54 @@ def _store_order(table: ForecastTable) -> np.ndarray:
     return np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
 
 
-def holds_store_rows(stored: ForecastTable, table: ForecastTable) -> bool:
-    """Whether `stored`, a table in store order (a sidecar's), holds exactly the rows
-    of `table`, so `records_to_jsonl` gives both the same text. Present values are
-    compared bit for bit: -0.0 == 0.0, but their store texts differ."""
+def splice_store(records, stored: ForecastTable, store: bytes) -> bytes:
+    """The UTF-8 bytes of `records_to_jsonl(records)`, formatting only the rows `stored` lacks.
+
+    `stored` is the table of the column sidecar of `store` (:func:`records_from_npz`),
+    so line i of `store` is the text of its row i. A row that `stored` holds with the
+    same provider, dates, extras text, `present` masks and present values bit for bit
+    (-0.0 == 0.0, but their texts differ) takes that line; lines back to back in
+    `store` are copied as one run. One `records_to_jsonl` call formats the other
+    rows. When every line is kept in place, `store` itself is returned.
+    """
+    table = as_table(records)
+    ends = _line_ends(store)
+    if not len(table) or not len(stored) or ends.size != len(stored):
+        return records_to_jsonl(table).encode("utf-8")
     order = _store_order(table)
-    if not all(np.array_equal(getattr(stored, key), getattr(table, key)[order])
-               for key in ("provider", "target", "issue", "extras")):
-        return False
+
+    def key(t):   # store order is the order of these keys
+        return (_NAME_RANK[t.provider] << 44) | (t.target << 22) | t.issue
+
+    new_key, old_key = key(table)[order], key(stored)
+    src = np.minimum(np.searchsorted(old_key, new_key), len(stored) - 1)
+    kept = (old_key[src] == new_key) & (stored.extras[src] == table.extras[order])
     for name in FORECAST_FIELDS:
-        present = stored.present[name]
-        if not (np.array_equal(present, table.present[name][order])
-                and np.array_equal(stored.values[name][present].view(np.uint64),
-                                   table.values[name][order][present].view(np.uint64))):
-            return False
-    return True
+        present = table.present[name][order]
+        kept &= (stored.present[name][src] == present) & (
+            ~present | (stored.values[name][src].view(np.uint64)
+                        == table.values[name][order].view(np.uint64)))
+    fresh = np.flatnonzero(~kept)
+    text = records_to_jsonl(table.take(order[fresh])).encode("utf-8") if fresh.size else b""
+    # each row's line is lo:hi of `store` if kept, of `text` if fresh
+    hi, text_ends = ends[src], _line_ends(text)
+    lo = hi - np.diff(ends, prepend=0)[src]
+    hi[fresh], lo[fresh] = text_ends, text_ends - np.diff(text_ends, prepend=0)
+    edges = np.flatnonzero((lo[1:] != hi[:-1]) | (kept[1:] != kept[:-1])) + 1
+    if edges.size == 0 and kept[0] and lo[0] == 0 and hi[-1] == len(store):
+        return store
+    views = memoryview(store), memoryview(text)
+    runs = zip([0, *edges.tolist()], [*edges.tolist(), len(order)])
+    return b"".join([views[0 if kept[a] else 1][lo[a]:hi[b - 1]] for a, b in runs])
+
+
+def _line_ends(data: bytes) -> np.ndarray:
+    """The offset just past each newline of `data`, searched 1 MiB at a time: a
+    mask of a whole store would raise the peak RSS by the store's size."""
+    raw, step = np.frombuffer(data, np.uint8), 1 << 20
+    return np.concatenate([np.zeros(0, np.int64)] + [
+        np.flatnonzero(raw[at:at + step] == ord("\n")) + (at + 1)
+        for at in range(0, raw.size, step)])
 
 
 _COLUMN_KEYS = ("store_sha256", "provider", "target", "issue", "values", "present",
@@ -466,12 +499,13 @@ def _fetch_one(provider, site, issue_date, credentials, cache, http_get):
 
 class PayloadMemo:
     """Payload rows to reuse: `digests` maps (provider code, issue ordinal) to the key
-    (SHA-256 of :func:`_payload_context` and the text) of the payload whose rows `rows`
-    holds. :func:`fetch_forecasts` records this run's: in `clean` the key of each payload
-    whose normalization skipped no entry, in `spill` their rows outside the date range."""
+    (SHA-256 of :func:`_payload_context` and the text) of the payload whose rows the
+    tables in `rows` hold. :func:`fetch_forecasts` records this run's: in `clean` the
+    key of each payload whose normalization skipped no entry, in `spill` their rows
+    outside the date range."""
 
     def __init__(self):
-        self.digests, self.rows, self.clean, self.spill = {}, ForecastTable.concat([]), {}, []
+        self.digests, self.rows, self.clean, self.spill = {}, [], {}, []
 
     @classmethod
     def read(cls, path, stored, store_sha256: bytes) -> "PayloadMemo":
@@ -489,7 +523,7 @@ class PayloadMemo:
             return memo
         spill = records_from_npz(path, store_sha256)
         if spill is not None:
-            memo.digests, memo.rows = digests, ForecastTable.concat([stored, spill])
+            memo.digests, memo.rows = digests, [stored, spill]
         return memo
 
     def to_npz(self, store_sha256: bytes) -> bytes:
@@ -567,9 +601,9 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
             for issued, body in bodies.items()}
     fresh = {issued: normalize_payload(body, issued, mapping, tz_offset_hours) for issued, body
              in bodies.items() if memo.digests.get((code, issued.toordinal())) != keys[issued]}
-    held = (memo.rows.provider == code) & np.isin(
-        memo.rows.issue, [issued.toordinal() for issued in bodies if issued not in fresh])
-    table = ForecastTable.concat([*fresh.values(), memo.rows.take(np.flatnonzero(held))])
+    reused = [issued.toordinal() for issued in bodies if issued not in fresh]
+    table = ForecastTable.concat([*fresh.values(), *(rows.take(np.flatnonzero(
+        (rows.provider == code) & np.isin(rows.issue, reused))) for rows in memo.rows)])
     clean = {issued.toordinal(): keys[issued] for issued in bodies
              if issued not in fresh or not fresh[issued].skipped}
     memo.clean.update(((code, day), key) for day, key in clean.items())

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, outputs, determinism, calculator."""
 
+import collections
 import dataclasses
 import datetime as dt
 import hashlib
@@ -933,15 +934,17 @@ def test_store_reuse_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch,
 
 
 def _formatting(monkeypatch):
-    """The list of the row counts of the `records_to_jsonl` calls `cli` makes from now."""
+    """The list of the row counts of the `records_to_jsonl` calls made from now, by
+    `cli` or by `splice_store`."""
     calls = []
-    format_store = cli.records_to_jsonl
+    format_store = providers.records_to_jsonl
 
     def counting(table):
         calls.append(len(table))
         return format_store(table)
 
     monkeypatch.setattr(cli, "records_to_jsonl", counting)
+    monkeypatch.setattr(providers, "records_to_jsonl", counting)
     return calls
 
 
@@ -959,21 +962,32 @@ def test_unchanged_warm_ingest_formats_no_store(payload_ws, tmp_path, capsys, mo
 
 STORE_CHANGES = {   # runs of (values set in a VC entry, options); the last run is counted
     "value": [({"tempmax": 30.5}, [])],
-    "end-date": [(None, ["--set", "end_date={issued}"])],
+    "earlier-end-date": [(None, ["--set", "end_date={issued}"])],
+    # the night after the last observed day: end_date moves one day on
+    "new-observed-day": [(None, ["--set", "end_date={before_last}"]), (None, [])],
     "extras-only": [({"conditions": "rain"}, [])],
     # -0.0 == 0.0, but the store writes them as "-0.0" and "0.0"
     "zero-to-negative-zero": [({"precip": 0.0}, []), ({"precip": -0.0}, [])],
 }
 
 
+def _store_lines(store: bytes) -> collections.Counter:
+    return collections.Counter(store.splitlines(keepends=True))
+
+
 @pytest.mark.parametrize("change", STORE_CHANGES)
-def test_changed_rows_format_the_store_once(payload_ws, tmp_path, capsys, monkeypatch, change):
+def test_changed_rows_format_only_their_lines(payload_ws, tmp_path, capsys, monkeypatch,
+                                              change):
     """A warm `ingest forecast` whose rows differ from the sidecar's, in one value, its
-    date range, one entry's extras alone or the sign of a zero, formats the store once
-    and writes the bytes of a run without a store, sidecar or memo."""
+    date range, one entry's extras alone or the sign of a zero, formats in one call
+    only the lines the store on disk lacks, copies the others, and writes the bytes
+    of a run without a store, sidecar or memo."""
     issued = payload_ws["issued"]
+    last = max(json.loads(line)["target_date"] for line in
+               (payload_ws["root"] / "out" / cli.FORECAST_STORE).read_text().splitlines())
+    before_last = (dt.date.fromisoformat(last) - dt.timedelta(days=1)).isoformat()
     runs = [(values and _edit_payload("vc", issued, lambda days, v=values: days[1].update(v)),
-             [option.format(issued=issued) for option in options])
+             [option.format(issued=issued, before_last=before_last) for option in options])
             for values, options in STORE_CHANGES[change]]
     cold = tmp_path / "cold"
     shutil.copytree(payload_ws["root"], cold)
@@ -989,15 +1003,19 @@ def test_changed_rows_format_the_store_once(payload_ws, tmp_path, capsys, monkey
     calls = _formatting(monkeypatch)
     for edit, options in runs:
         calls.clear()
+        prior = (root / "out" / cli.FORECAST_STORE).read_bytes()
         if edit:
             edit(root)
         got = _ingest_outputs(payload_ws, root, capsys, monkeypatch, *options)
-    assert len(calls) == 1
     assert got[:4] == expected[:4]
-    assert got[3][cli.FORECAST_STORE] != (payload_ws["root"] / "out" /
-                                          cli.FORECAST_STORE).read_bytes()
+    store = got[3][cli.FORECAST_STORE]
+    assert store != prior
+    new_lines = sum((_store_lines(store) - _store_lines(prior)).values())
+    assert calls == ([new_lines] if new_lines else [])
+    assert new_lines == {"value": 1, "earlier-end-date": 0, "new-observed-day": 32,
+                         "extras-only": 1, "zero-to-negative-zero": 1}[change]
     if change == "zero-to-negative-zero":
-        assert b'"precip": -0.0, ' in got[3][cli.FORECAST_STORE]
+        assert b'"precip": -0.0, ' in store
 
 
 def test_forecast_sidecar_is_byte_stable(small_ws, tmp_path):

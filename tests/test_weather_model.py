@@ -5,8 +5,10 @@ import gc
 import io
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from etoforge.errors import (AuthError, CacheMiss, DuplicateDate,
@@ -19,8 +21,9 @@ from etoforge.weather import (AlignedPair, DailyObservation, ForecastCache,
                               align_horizons, fetch_forecasts,
                               load_provider_mapping, load_ws_schema,
                               normalize_payload, parse_ws_csv,
-                              records_from_jsonl, records_to_jsonl,
-                              serialize_ws_csv, units, ws_schema_text)
+                              providers, records_from_jsonl, records_from_npz,
+                              records_to_jsonl, records_to_npz, serialize_ws_csv,
+                              splice_store, units, ws_schema_text)
 
 D = dt.date
 
@@ -704,6 +707,56 @@ def test_store_repeated_key_keeps_the_first_record():
         rows = table.cell("VC", 1)
         assert [table[r].target_date for r in rows] == [D(2022, 6, d) for d in (1, 2, 3)]
         assert table[rows[1]].temp_max == first
+
+
+def _shifted(record, days):
+    later = dt.timedelta(days=days)
+    return replace(record, target_date=record.target_date + later,
+                   issue_date=record.issue_date + later)
+
+
+SPLICE_EDITS = {   # an edit of a list of records, given a random generator
+    "drop-rows": lambda recs, rng: [r for r in recs if rng.random() > 0.1],
+    "value": lambda recs, rng: [replace(r, temp_max=r.temp_max + 0.5) if rng.random() < 0.05
+                                else r for r in recs],
+    "zero-to-negative-zero": lambda recs, rng: [replace(r, precip=-0.0) if r.precip == 0.0
+                                                and rng.random() < 0.3 else r for r in recs],
+    "absent-value": lambda recs, rng: [replace(r, rh_avg=None) if rng.random() < 0.05
+                                       else r for r in recs],
+    "non-ascii-extras": lambda recs, rng: [replace(r, extras={"conditions": "pluie légère"})
+                                           if rng.random() < 0.05 else r for r in recs],
+    "new-dates": lambda recs, rng: recs + [_shifted(r, 400) for r in recs[:40]],
+    "repeated-rows": lambda recs, rng: recs + recs[:7],
+    "all-rows": lambda recs, rng: [_shifted(r, 1) for r in recs],
+    "no-rows": lambda recs, rng: [],
+}
+
+
+@pytest.mark.parametrize("edit", SPLICE_EDITS)
+def test_splice_store_gives_the_formatted_store(synth, monkeypatch, edit):
+    """splice_store over a store and its sidecar's table gives the bytes
+    records_to_jsonl gives for any edit of the rows, in any input order, and
+    formats only the rows whose line the store lacks."""
+    _, _, forecasts = synth
+    base = [replace(r, precip=0.0) if i % 3 == 0 else r for i, r in
+            enumerate(forecasts["VC"][:160] + forecasts["OWM"][:160])]
+    digest = bytes(range(32))
+    store = records_to_jsonl(base).encode("utf-8")
+    stored = records_from_npz(io.BytesIO(records_to_npz(base, digest)), digest)
+    formatted, format_store = [], providers.records_to_jsonl
+    monkeypatch.setattr(providers, "records_to_jsonl",
+                        lambda table: formatted.append(len(table)) or format_store(table))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        records = SPLICE_EDITS[edit](base, rng)
+        records = [records[i] for i in rng.permutation(len(records))]
+        formatted.clear()
+        want = format_store(records).encode("utf-8")
+        assert splice_store(records, stored, store) == want
+        lines = set(store.splitlines(keepends=True))
+        fresh = sum(line not in lines for line in want.splitlines(keepends=True)) * bool(records)
+        assert formatted == ([fresh] if fresh or not records else [])
+    assert splice_store(base[::-1], stored, store) is store
 
 
 def test_store_load_adds_fewer_gc_objects_than_records(synth):
