@@ -320,12 +320,8 @@ def splice_store(records, stored: ForecastTable, store: bytes) -> bytes:
 
 
 def _line_ends(data: bytes) -> np.ndarray:
-    """The offset just past each newline of `data`, searched 1 MiB at a time: a
-    mask of a whole store would raise the peak RSS by the store's size."""
-    raw, step = np.frombuffer(data, np.uint8), 1 << 20
-    return np.concatenate([np.zeros(0, np.int64)] + [
-        np.flatnonzero(raw[at:at + step] == ord("\n")) + (at + 1)
-        for at in range(0, raw.size, step)])
+    """The offset just past each newline of `data`."""
+    return np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1
 
 
 _COLUMN_KEYS = ("store_sha256", "provider", "target", "issue", "values", "present",
