@@ -7,8 +7,6 @@ should edge out the direct one, since its only learned error is the
 radiation term.
 """
 
-import numpy as np
-
 from etoforge import evalkit, pipelines, regressor
 from etoforge.synthetic import synthetic_dataset
 
@@ -29,11 +27,9 @@ sr_model = regressor.train((X[:cut], sr_target.values[:cut]), ([32, 32], "relu")
                            target_name="SR")
 
 held = observations[cut:]
-direct = np.maximum(regressor.predict_batch(et0_model, X[cut:]), 0.0)
-sr_est = np.maximum(regressor.predict_batch(sr_model, X[cut:]), 0.0)
-hybrid = [pipelines.et0_hybrid_predict(sr_model, pipelines.make_features(o, site),
-                                       o, site).value
-          for o in held]
+estimates = pipelines.estimate(pipelines.ModelBundle(et0_model=et0_model, sr_model=sr_model),
+                               held, site)
+direct, sr_est, hybrid = (estimates[name][0] for name in ("ET0_ANN", "SR_ANN", "ET0_HYB"))
 
 print(f"training days: {cut}, held-out days: {len(held)}")
 for label, actual, predicted, eps, units in [

@@ -64,7 +64,7 @@ OUT.mkdir(exist_ok=True)
 for stem, report in [("sweep", sweep), ("fidelity", fidelity),
                      ("distributions", distribution)]:
     path = OUT / f"{stem}.csv"
-    path.write_text(evalkit.emit_report(report, "csv"))
+    path.write_text(evalkit.emit_report(report))
     print(f"wrote {path}")
 print("distribution rows feed violin/box plotting directly "
       "(horizon,provider,estimator,date,abs_error)")

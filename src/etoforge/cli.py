@@ -259,12 +259,10 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
         wind_height = cfg.forecast_wind_height
     values, clamped = pipelines.estimate(bundle, records, cfg.site(),
                                          wind_height)[estimator]
-    rows = [pipelines.PredictionRow(day, tag, h, estimator, pipelines.Prediction(v, c))
-            for (day, tag, h), v, c in zip(keys, values.tolist(), clamped.tolist())]
     suffix = f"_d{horizon}" if horizon is not None else ""
     name = f"predictions_{estimator.lower()}_{source}{suffix}.csv"
-    _write(cfg.out_dir, name, pipelines.predictions_csv(rows))
-    print(f"{len(rows)} predictions ({estimator}, source {source})")
+    _write(cfg.out_dir, name, pipelines.predictions_csv(estimator, keys, values, clamped))
+    print(f"{len(keys)} predictions ({estimator}, source {source})")
     _write_manifest(cfg.out_dir, cfg.seed, *known)
     return 0
 
@@ -287,9 +285,9 @@ def cmd_evaluate(cfg) -> int:
     for key, reason in sweep.omissions:
         print(f"omitted cell {key}: {reason}", file=sys.stderr)
 
-    _write(cfg.out_dir, "sweep.csv", evalkit.emit_report(sweep, "csv"))
-    _write(cfg.out_dir, "fidelity.csv", evalkit.emit_report(fidelity, "csv"))
-    _write(cfg.out_dir, "distributions.csv", evalkit.emit_report(sweep.errors, "csv"))
+    _write(cfg.out_dir, "sweep.csv", evalkit.emit_report(sweep))
+    _write(cfg.out_dir, "fidelity.csv", evalkit.emit_report(fidelity))
+    _write(cfg.out_dir, "distributions.csv", evalkit.emit_report(sweep.errors))
 
     usable_lines = ["criterion,threshold,provider,estimator,usable_horizon"]
     for name, tau in (("r2", cfg.r2_threshold), ("mape", cfg.mape_threshold)):

@@ -171,6 +171,8 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
     unknown = [f for f in cfg.features if f not in FEATURE_NAMES]
     if unknown:
         raise ConfigError(f"unknown feature(s) {unknown}; available: {FEATURE_NAMES}")
+    if len(set(cfg.features)) != len(cfg.features):
+        raise ConfigError(f"features repeat a name: {list(cfg.features)}")
     if cfg.humidity_mode not in HUMIDITY_MODES:
         raise ConfigError(f"humidity_mode must be {' or '.join(HUMIDITY_MODES)}, "
                           f"got {cfg.humidity_mode!r}")

@@ -15,7 +15,6 @@ mm/day for ET, 1 W/m2 for SR) are excluded and counted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -324,78 +323,25 @@ def _distribution_csv(dist: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_json(sweep: HorizonSweep) -> str:
-    doc = {
-        "type": "horizon_sweep",
-        "metadata": sweep.metadata,
-        "omissions": [
-            {"horizon": k[0], "provider": k[1], "estimator": k[2], "reason": r}
-            for k, r in sweep.omissions],
-        "cells": [
-            {
-                "horizon": key[0], "provider": key[1], "estimator": key[2],
-                "n": r.n, "coverage": sweep.coverage.get(key, 0.0),
-                "r2": r.r2, "rmse": r.rmse, "mse": r.mse, "mae": r.mae,
-                "mape": None if math.isnan(r.mape) else r.mape,
-                "mape_excluded": r.mape_excluded, "units": r.units,
-            }
-            for key, r in sorted(sweep.cells.items())
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def sweep_from_json(text: str) -> HorizonSweep:
-    """Parse a sweep document emitted by emit_report(..., 'json').
-
-    Text that is not such a document raises RangeError.
-    """
-    try:
-        doc = json.loads(text)
-        if doc.get("type") != "horizon_sweep":
-            raise RangeError(f"not a horizon_sweep document: {doc.get('type')!r}")
-        cells, coverage = {}, {}
-        for c in doc["cells"]:
-            key = (c["horizon"], c["provider"], c["estimator"])
-            mape = math.nan if c["mape"] is None else c["mape"]
-            cells[key] = MetricReport(r2=c["r2"], rmse=c["rmse"], mse=c["mse"],
-                                      mae=c["mae"], mape=mape, n=c["n"],
-                                      mape_excluded=c["mape_excluded"],
-                                      units=c["units"])
-            coverage[key] = c["coverage"]
-        omissions = tuple(
-            ((o["horizon"], o["provider"], o["estimator"]), o["reason"])
-            for o in doc.get("omissions", []))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise RangeError(f"not a horizon_sweep document: {exc!r}") from exc
-    return HorizonSweep(cells=cells, coverage=coverage, omissions=omissions,
-                        metadata=doc.get("metadata", {}))
-
-
 def emit_report(report, fmt: str = "csv") -> str:
     """Render a sweep, fidelity report, or error distribution as csv.
 
-    A sweep can also be rendered as json (read back by
-    :func:`sweep_from_json`); json for any other report raises RangeError.
-    Output is byte-stable for identical input: rows are emitted in sorted
-    key order and floats with full round-trip precision.
+    csv is the one format; `fmt` names it, and any other value raises
+    RangeError. Output is byte-stable for identical input: rows are emitted
+    in sorted key order and floats with full round-trip precision.
     """
-    if fmt not in ("csv", "json"):
+    if fmt != "csv":
         raise RangeError(f"unknown format {fmt!r}")
     if isinstance(report, HorizonSweep):
         if not report.cells:
             raise EmptyInput("sweep has no cells")
-        return _sweep_csv(report) if fmt == "csv" else _sweep_json(report)
+        return _sweep_csv(report)
     if isinstance(report, FidelityReport):
         if not report.cells:
             raise EmptyInput("fidelity report has no cells")
-        render = _fidelity_csv
-    elif isinstance(report, dict):
+        return _fidelity_csv(report)
+    if isinstance(report, dict):
         if not report:
             raise EmptyInput("error distribution is empty")
-        render = _distribution_csv
-    else:
-        raise RangeError(f"cannot emit a report for {type(report).__name__}")
-    if fmt == "json":
-        raise RangeError(f"json renders sweeps only, not a {type(report).__name__}")
-    return render(report)
+        return _distribution_csv(report)
+    raise RangeError(f"cannot emit a report for {type(report).__name__}")

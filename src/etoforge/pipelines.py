@@ -25,7 +25,7 @@ import numpy as np
 from . import fao56
 from .errors import (DomainError, EtoforgeError, FeatureMismatch, MissingField,
                      RangeError)
-from .regressor import MlpModel, forward, predict_batch
+from .regressor import MlpModel, predict_batch
 from .weather.records import (DayTable, ForecastRecord, ForecastTable, ObservationTable,
                               SiteMetadata, by_date)
 
@@ -48,9 +48,9 @@ class FeatureVector:
 
     date: dt.date
     values: tuple
-    names: tuple = FEATURE_NAMES
-    source: str = "WS"            # WS | VC | OWM
-    horizon: int | None = None    # set when forecast-sourced
+    names: tuple
+    source: str                   # WS | VC | OWM
+    horizon: int | None           # set when forecast-sourced
 
     def __post_init__(self):
         if len(self.values) != len(self.names):
@@ -125,6 +125,8 @@ def _features(fields, site: SiteMetadata, names) -> np.ndarray:
     unknown = [n for n in names if n not in FEATURE_NAMES]
     if unknown:
         raise FeatureMismatch(f"unknown feature name(s) {unknown}")
+    if len(set(names)) != len(names):
+        raise FeatureMismatch(f"feature names repeat: {list(names)}")
     doy = fields.day_of_year
     if not len(doy):
         return np.zeros((0, len(names)))
@@ -265,26 +267,6 @@ def estimate(bundle: ModelBundle, records, site: SiteMetadata,
     return Estimates(out)
 
 
-def _predict_row(model: MlpModel, fv: FeatureVector, target: str) -> Prediction:
-    _check_target(model, target)
-    if tuple(model.feature_names) != tuple(fv.names):
-        raise FeatureMismatch(
-            f"model features {model.feature_names} do not match "
-            f"input features {fv.names}")
-    raw = forward(model, fv.as_array())
-    return Prediction(value=max(raw, 0.0), clamped=raw < 0.0)
-
-
-def et0_ann_predict(model: MlpModel, fv: FeatureVector) -> Prediction:
-    """Direct neural reference-ET estimate [mm/day], clamped at zero."""
-    return _predict_row(model, fv, TARGET_ET0)
-
-
-def sr_ann_predict(model: MlpModel, fv: FeatureVector) -> Prediction:
-    """Neural solar-radiation estimate [W/m2], clamped at zero."""
-    return _predict_row(model, fv, TARGET_SR)
-
-
 def et0_from_sr(sr_wm2: float, raw_weather, site: SiteMetadata,
                 wind_height: float | None = None) -> Prediction:
     """Physics half of the hybrid route for one day: given SR, run the ET equation.
@@ -300,29 +282,19 @@ def et0_from_sr(sr_wm2: float, raw_weather, site: SiteMetadata,
     return Prediction(value=float(result.et0[0]), clamped=bool(result.clamped[0]))
 
 
-def et0_hybrid_predict(sr_model: MlpModel, fv: FeatureVector, raw_weather,
-                       site: SiteMetadata,
+def et0_hybrid_predict(sr_model: MlpModel, raw_weather, site: SiteMetadata,
                        wind_height: float | None = None) -> Prediction:
-    """Hybrid reference-ET estimate for one day: neural SR feeding the physics chain."""
-    sr = sr_ann_predict(sr_model, fv)
-    out = et0_from_sr(sr.value, raw_weather, site, wind_height=wind_height)
-    return Prediction(value=out.value, clamped=sr.clamped or out.clamped)
+    """Hybrid reference-ET estimate for one day: the ET0_HYB of :func:`estimate`."""
+    values, clamped = estimate(ModelBundle(sr_model=sr_model), [raw_weather], site,
+                               wind_height)["ET0_HYB"]
+    return Prediction(value=float(values[0]), clamped=bool(clamped[0]))
 
 
-class PredictionRow(NamedTuple):
-    date: dt.date
-    source: str
-    horizon: int | None
-    estimator: str
-    prediction: Prediction
-
-
-def predictions_csv(rows) -> str:
-    """Render prediction rows as the documented CSV."""
+def predictions_csv(estimator: str, keys, values, clamped) -> str:
+    """Render one estimator's :func:`estimate` columns as the documented CSV;
+    `keys` holds a (date, source, horizon) per value."""
     lines = ["date,source,horizon,estimator,value,clamped"]
-    for r in rows:
-        horizon = "" if r.horizon is None else str(r.horizon)
-        lines.append(f"{r.date.isoformat()},{r.source},{horizon},"
-                     f"{r.estimator},{r.prediction.value!r},"
-                     f"{int(r.prediction.clamped)}")
+    for (day, source, horizon), value, flag in zip(keys, values.tolist(), clamped.tolist()):
+        horizon = "" if horizon is None else str(horizon)
+        lines.append(f"{day.isoformat()},{source},{horizon},{estimator},{value!r},{int(flag)}")
     return "\n".join(lines) + "\n"

@@ -67,11 +67,8 @@ def desk_scale(synth, synth_targets):
     held_obs = observations[cut:]
     et0_pred = np.maximum(regressor.predict_batch(et0_model, X[cut:]), 0.0)
     sr_pred = np.maximum(regressor.predict_batch(sr_model, X[cut:]), 0.0)
-    hyb_pred = [
-        pipelines.et0_hybrid_predict(
-            sr_model, pipelines.make_features(o, site), o, site).value
-        for o in held_obs
-    ]
+    hyb_pred, _ = pipelines.estimate(pipelines.ModelBundle(sr_model=sr_model),
+                                     held_obs, site)["ET0_HYB"]
     return {
         "site": site,
         "et0_model": et0_model,

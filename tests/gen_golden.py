@@ -19,7 +19,7 @@ def build_report():
 
 
 def main():
-    text = evalkit.emit_report(build_report(), "csv")
+    text = evalkit.emit_report(build_report())
     GOLDEN_PATH.write_text(text, encoding="utf-8")
     print(f"wrote {GOLDEN_PATH} ({len(text.splitlines())} lines)")
 

@@ -639,6 +639,23 @@ def test_model_file_fault_matrix(small_ws, tmp_path, capsys, reader, model, faul
                           capsys)
 
 
+def test_repeated_feature_names_are_refused(small_ws, tmp_path, capsys):
+    """A feature named twice is a usage error in the config (exit 2) and a data
+    error in a model file (exit 3): it would feed inputs from the wrong columns."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    capsys.readouterr()
+    assert _run_in_copy(small_ws, root, ["train", "--target", "sr", "--set",
+                                         "features=temp_max,temp_max,ra"]) == 2
+    assert "features repeat a name" in capsys.readouterr().err
+    path = root / "out" / "model_sr.json"
+    doc = json.loads(path.read_text())
+    doc["scaler"]["feature_names"] = ["temp_max"] * len(doc["scaler"]["feature_names"])
+    path.write_text(json.dumps(doc))
+    _assert_typed_failure(small_ws, root, MODEL_READERS["model_sr.json"]["predict-et0_hyb"],
+                          "feature names repeat", capsys)
+
+
 @pytest.fixture(scope="module")
 def payload_ws(tmp_path_factory, synth):
     """A 20-day workspace with VC and OWM payloads cached and ingested, to copy and corrupt."""

@@ -105,6 +105,13 @@ def test_config_error_messages_are_stable(overrides, message):
     assert str(err.value) == message
 
 
+def test_repeated_features_are_a_config_error():
+    # a name given twice would feed one model input from another feature's column
+    with pytest.raises(ConfigError, match=re.escape(
+            "features repeat a name: ['temp_max', 'temp_max', 'ra']")):
+        build_config(None, {"features": "temp_max,temp_max,ra"})
+
+
 def test_training_defaults_are_train_configs():
     assert RunConfig().train_config() == TrainConfig()
 

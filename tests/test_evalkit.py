@@ -16,7 +16,7 @@ from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
                               MetricReport, ModelBundle, _aligned_cells,
                               compare_forecast_fidelity, emit_report,
                               error_distribution, horizon_sweep, metrics,
-                              sweep_from_json, usable_horizon)
+                              usable_horizon)
 from etoforge.synthetic import (synthetic_forecasts, synthetic_observations,
                                 synthetic_site)
 from etoforge.weather import (ForecastTable, align_horizons, by_date, records_from_jsonl,
@@ -324,11 +324,10 @@ def test_sweep_cell_equals_manual_decomposition(small_world, full_models):
     aligned = align_horizons(observations, forecasts, 2)
     actual = pipelines.build_et0_target(
         [p.observed for p in aligned.pairs], site, "average").values
+    model = full_models.et0_model
     predicted = [
-        pipelines.et0_ann_predict(
-            full_models.et0_model,
-            pipelines.make_features(p.forecast, site,
-                                    full_models.et0_model.feature_names)).value
+        max(regressor.forward(model, pipelines.make_features(
+            p.forecast, site, model.feature_names).as_array()), 0.0)
         for p in aligned.pairs
     ]
     manual = metrics(actual, predicted, mape_epsilon=0.05, units="mm/day")
@@ -474,20 +473,14 @@ def test_distribution_csv_is_the_plain_rendering(small_world, full_models):
     plain = ["horizon,provider,estimator,date,abs_error"] + [
         f"{h},{p},{e},{day.isoformat()},{float(err)!r}"
         for (h, p, e) in sorted(dist) for day, err in dist[(h, p, e)]]
-    assert emit_report(dist, "csv") == "\n".join(plain) + "\n"
+    assert emit_report(dist) == "\n".join(plain) + "\n"
 
 
 def test_sweep_csv_shape(degradation_sweep):
-    lines = emit_report(degradation_sweep, "csv").strip().splitlines()
+    lines = emit_report(degradation_sweep).strip().splitlines()
     assert lines[0] == ("horizon,provider,estimator,n,coverage,r2,rmse,mse,"
                         "mae,mape,mape_excluded")
     assert len(lines) == 1 + 16 * 2 * 3
-
-
-def test_sweep_json_round_trip(degradation_sweep):
-    text = emit_report(degradation_sweep, "json")
-    again = sweep_from_json(text)
-    assert again == degradation_sweep
 
 
 def test_fidelity_csv_layout(small_world):
@@ -495,7 +488,7 @@ def test_fidelity_csv_layout(small_world):
     forecasts = synthetic_forecasts(observations, "VC", seed=2)
     report = compare_forecast_fidelity(observations, forecasts,
                                        providers=("VC",), horizons=range(2))
-    lines = emit_report(report, "csv").strip().splitlines()
+    lines = emit_report(report).strip().splitlines()
     assert lines[0] == "feature,provider,horizon,r2"
     assert lines[1].startswith("TempMax,VC,0,")
 
@@ -506,7 +499,7 @@ def test_distribution_csv_layout(small_world, full_models):
     dist = error_distribution(full_models, observations, forecasts, site,
                               horizons=(0,), providers=("VC",),
                               humidity_mode="average")
-    lines = emit_report(dist, "csv").strip().splitlines()
+    lines = emit_report(dist).strip().splitlines()
     assert lines[0] == "horizon,provider,estimator,date,abs_error"
     head = lines[1].split(",")
     assert head[0] == "0" and head[1] == "VC"
@@ -515,34 +508,23 @@ def test_distribution_csv_layout(small_world, full_models):
 
 def test_emit_rejects_empty_and_unknown():
     with pytest.raises(EmptyInput):
-        emit_report(HorizonSweep(cells={}, coverage={}), "csv")
+        emit_report(HorizonSweep(cells={}, coverage={}))
     with pytest.raises(EmptyInput):
-        emit_report({}, "json")
+        emit_report({})
+    with pytest.raises(EmptyInput):
+        emit_report(FidelityReport(cells={}))
     with pytest.raises(RangeError):
         emit_report(_fake_sweep([0.9]), "yaml")
-
-
-def test_json_renders_sweeps_only():
-    fidelity = FidelityReport(cells={("TempMax", "VC", 0): 0.9})
-    dist = {(0, "VC", "ET0_ANN"): [(dt.date(2020, 1, 1), 0.1)]}
-    for report in (fidelity, dist):
-        assert emit_report(report, "csv")
-        with pytest.raises(RangeError):
-            emit_report(report, "json")
-
-
-@pytest.mark.parametrize("text", ['{', '{"type": "horizon_sweep"}', '[]'],
-                         ids=["truncated", "no-cells", "not-an-object"])
-def test_sweep_from_json_rejects_non_documents(text):
+    with pytest.raises(RangeError):   # csv is the one report format
+        emit_report(_fake_sweep([0.9]), "json")
     with pytest.raises(RangeError):
-        sweep_from_json(text)
+        emit_report([0.9])
 
 
 def test_emission_is_deterministic(degradation_sweep):
-    assert emit_report(degradation_sweep, "csv") == emit_report(degradation_sweep, "csv")
-    assert emit_report(degradation_sweep, "json") == emit_report(degradation_sweep, "json")
+    assert emit_report(degradation_sweep) == emit_report(degradation_sweep, "csv")
 
 
 def test_golden_fidelity_report():
     assert GOLDEN_PATH.is_file(), "regenerate with python -m tests.gen_golden"
-    assert emit_report(build_report(), "csv") == GOLDEN_PATH.read_text()
+    assert emit_report(build_report()) == GOLDEN_PATH.read_text()

@@ -1,19 +1,16 @@
 """Feature assembly, target construction, and the two estimation routes."""
 
 import datetime as dt
-import math
 
 import numpy as np
 import pytest
 
 from etoforge import fao56, pipelines, regressor
 from etoforge.errors import DomainError, FeatureMismatch, MissingField
-from etoforge.pipelines import (FEATURE_NAMES, FeatureVector, Prediction,
-                                build_et0_target, build_sr_target,
-                                et0_ann_predict, et0_from_sr,
-                                et0_hybrid_predict, feature_matrix,
-                                make_features, predictions_csv,
-                                sr_ann_predict)
+from etoforge.pipelines import (FEATURE_NAMES, FeatureVector, ModelBundle,
+                                build_et0_target, build_sr_target, estimate,
+                                et0_from_sr, et0_hybrid_predict, feature_matrix,
+                                make_features, predictions_csv)
 from etoforge.weather import DailyObservation, ForecastRecord, SiteMetadata
 
 from . import fao56_oracle as oracle
@@ -108,11 +105,14 @@ def test_feature_subset_selection():
     assert fv.values == (60.0, 26.0)
     with pytest.raises(FeatureMismatch):
         make_features(_obs(dt.date(2022, 7, 15)), SITE, names=("bogus",))
+    with pytest.raises(FeatureMismatch, match="repeat"):
+        make_features(_obs(dt.date(2022, 7, 15)), SITE, names=("temp_max", "temp_max"))
 
 
 def test_feature_vector_validates_shape():
     with pytest.raises(FeatureMismatch):
-        FeatureVector(date=dt.date(2022, 1, 1), values=(1.0, 2.0))
+        FeatureVector(date=dt.date(2022, 1, 1), values=(1.0, 2.0), names=FEATURE_NAMES,
+                      source="WS", horizon=None)
 
 
 # --- targets -------------------------------------------------------------------
@@ -160,68 +160,93 @@ def test_sr_target_is_field_projection():
 
 # --- predictors -----------------------------------------------------------------
 
+def _forward(model, record, site):
+    """One record scored by the bare network and clamped: the reference the
+    batch path is checked against."""
+    return max(regressor.forward(model, make_features(record, site,
+                                                      model.feature_names).as_array()), 0.0)
+
+
 def test_predictors_clamp_and_flag():
-    fv = make_features(_obs(dt.date(2022, 7, 15)), SITE)
-    rigged = _zero_model("ET0", bias=-0.3)
-    out = et0_ann_predict(rigged, fv)
-    assert out == Prediction(0.0, True)
-    sr_rigged = _zero_model("SR", bias=-5.0)
-    assert sr_ann_predict(sr_rigged, fv) == Prediction(0.0, True)
+    records = [_obs(dt.date(2022, 7, 15)), _obs(dt.date(2022, 7, 16))]
+    rigged = ModelBundle(et0_model=_zero_model("ET0", bias=-0.3),
+                         sr_model=_zero_model("SR", bias=-5.0))
+    estimates = estimate(rigged, records, SITE)
+    for estimator in ("ET0_ANN", "SR_ANN"):
+        values, clamped = estimates[estimator]
+        assert values.tolist() == [0.0, 0.0] and clamped.tolist() == [True, True]
+    # a clamped SR estimate flags the hybrid value built from it
+    assert estimates["ET0_HYB"][1].tolist() == [True, True]
 
 
 def test_predictors_are_deterministic():
-    fv = make_features(_obs(dt.date(2022, 7, 15)), SITE)
-    model = _zero_model("ET0", bias=1.25)
-    assert et0_ann_predict(model, fv) == et0_ann_predict(model, fv)
-    sr_model = _zero_model("SR", bias=180.0)
-    assert sr_ann_predict(sr_model, fv) == sr_ann_predict(sr_model, fv)
+    records = [_obs(dt.date(2022, 7, 15))]
+    bundle = ModelBundle(et0_model=_zero_model("ET0", bias=1.25),
+                         sr_model=_zero_model("SR", bias=180.0))
+    first, again = estimate(bundle, records, SITE), estimate(bundle, records, SITE)
+    for estimator in pipelines.ESTIMATORS:
+        assert first[estimator][0].tolist() == again[estimator][0].tolist()
+        assert first[estimator][1].tolist() == again[estimator][1].tolist()
+    assert first["ET0_ANN"][0].tolist() == [1.25]
+    assert first["SR_ANN"][0].tolist() == [180.0]
 
 
 def test_target_and_feature_mismatches():
-    fv = make_features(_obs(dt.date(2022, 7, 15)), SITE)
-    with pytest.raises(FeatureMismatch):
-        et0_ann_predict(_zero_model("SR"), fv)
-    with pytest.raises(FeatureMismatch):
-        sr_ann_predict(_zero_model("ET0"), fv)
-    subset_model = _zero_model("ET0", names=("temp_max", "temp_min"))
-    with pytest.raises(FeatureMismatch):
-        et0_ann_predict(subset_model, fv)
+    records = [_obs(dt.date(2022, 7, 15))]
+    with pytest.raises(FeatureMismatch, match="model targets 'SR', expected 'ET0'"):
+        estimate(ModelBundle(et0_model=_zero_model("SR")), records, SITE)
+    with pytest.raises(FeatureMismatch, match="model targets 'ET0', expected 'SR'"):
+        estimate(ModelBundle(sr_model=_zero_model("ET0")), records, SITE)
+    unknown = _zero_model("ET0", names=("temp_max", "bogus"))
+    with pytest.raises(FeatureMismatch, match="unknown feature name"):
+        estimate(ModelBundle(et0_model=unknown), records, SITE)
+    # a name given twice would feed an input from another feature's column
+    repeated = _zero_model("SR", names=("temp_max",) * 7)
+    with pytest.raises(FeatureMismatch, match="feature names repeat"):
+        estimate(ModelBundle(sr_model=repeated), records, SITE)
+    # a model on a feature subset is fed that subset, in its own order
+    subset = _zero_model("ET0", bias=2.0, names=("temp_min", "temp_max"))
+    assert estimate(ModelBundle(et0_model=subset), records, SITE)["ET0_ANN"][0].tolist() == [2.0]
 
 
 def test_inference_does_not_mutate_the_model(desk_scale):
     model = desk_scale["et0_model"]
-    before = [w.copy() for w in model.weights]
-    fv = make_features(_obs(dt.date(2022, 7, 15)), SITE)
+    before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
     for _ in range(5):
-        et0_ann_predict(model, fv)
-    assert all(np.array_equal(a, b) for a, b in zip(before, model.weights))
+        estimate(ModelBundle(et0_model=model), [_obs(dt.date(2022, 7, 15))], SITE)
+    after = list(model.weights) + list(model.biases)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_predictions_are_finite_over_the_whole_record(synth, full_models):
     site, observations, _ = synth
-    for obs in observations[::37]:
-        fv = make_features(obs, site)
-        assert math.isfinite(et0_ann_predict(full_models.et0_model, fv).value)
-        assert math.isfinite(sr_ann_predict(full_models.sr_model, fv).value)
+    estimates = estimate(full_models, observations, site)
+    for estimator in pipelines.ESTIMATORS:
+        values, _ = estimates[estimator]
+        assert len(values) == len(observations)
+        assert np.all(np.isfinite(values)), estimator
 
 
 def test_estimate_equals_one_row_predictors(synth, full_models):
-    # one estimate call scores a batch with every estimator; each value
-    # must be what the one-row predictors give for that record alone,
-    # bit for bit
+    # one estimate call scores a batch with every estimator; each value must
+    # be the one its record gets when scored alone, and the bare network's
+    # output on its feature row, bit for bit
     site, observations, forecasts = synth
     records = forecasts["VC"][::97]
-    estimates = pipelines.estimate(full_models, records, site)
+    estimates = estimate(full_models, records, site)
     assert set(estimates) == set(pipelines.ESTIMATORS)
-    for estimator, one_row in (
-            ("ET0_ANN", lambda r, fv: et0_ann_predict(full_models.et0_model, fv)),
-            ("SR_ANN", lambda r, fv: sr_ann_predict(full_models.sr_model, fv)),
-            ("ET0_HYB",
-             lambda r, fv: et0_hybrid_predict(full_models.sr_model, fv, r, site))):
+    alone = [estimate(full_models, [r], site) for r in records]
+    for estimator in pipelines.ESTIMATORS:
         values, clamped = estimates[estimator]
-        expected = [one_row(r, make_features(r, site)) for r in records]
-        assert values.tolist() == [p.value for p in expected], estimator
-        assert clamped.tolist() == [p.clamped for p in expected], estimator
+        assert values.tolist() == [a[estimator][0][0] for a in alone], estimator
+        assert clamped.tolist() == [a[estimator][1][0] for a in alone], estimator
+    for estimator, model in (("ET0_ANN", full_models.et0_model),
+                             ("SR_ANN", full_models.sr_model)):
+        assert estimates[estimator][0].tolist() == [_forward(model, r, site)
+                                                    for r in records], estimator
+    hybrid = [et0_from_sr(_forward(full_models.sr_model, r, site), r, site).value
+              for r in records]
+    assert estimates["ET0_HYB"][0].tolist() == hybrid
 
 
 def test_estimate_returns_what_the_bundle_serves(synth, full_models):
@@ -309,23 +334,30 @@ def test_hybrid_with_zero_sr_equals_shortwave_free_chain(synth):
 
 
 def test_hybrid_uses_provider_wind_height_for_forecasts():
-    day = dt.date(2022, 7, 15)
-    fc = _fc(day)
-    model = _zero_model("SR", bias=240.0)
-    fv = make_features(fc, SITE)
-    default = et0_hybrid_predict(model, fv, fc, SITE)
-    at_2m = et0_hybrid_predict(model, fv, fc, SITE, wind_height=2.0)
-    assert default.value != at_2m.value   # 10 m default vs explicit 2 m
+    fc = _fc(dt.date(2022, 7, 15))
+    bundle = ModelBundle(sr_model=_zero_model("SR", bias=240.0))
+    default = estimate(bundle, [fc], SITE)["ET0_HYB"][0][0]
+    at_10m = estimate(bundle, [fc], SITE, wind_height=10.0)["ET0_HYB"][0][0]
+    at_2m = estimate(bundle, [fc], SITE, wind_height=2.0)["ET0_HYB"][0][0]
+    assert default == at_10m == et0_from_sr(240.0, fc, SITE, wind_height=10.0).value
+    assert at_2m == et0_from_sr(240.0, fc, SITE, wind_height=2.0).value
+    assert default != at_2m   # 10 m default vs explicit 2 m
+    assert et0_hybrid_predict(bundle.sr_model, fc, SITE, wind_height=2.0).value == at_2m
 
 
 def test_hybrid_propagates_missing_fields():
-    day = dt.date(2022, 7, 15)
-    fc = _fc(day, wind_avg=None)
-    model = _zero_model("SR", bias=240.0)
+    fc = _fc(dt.date(2022, 7, 15), wind_avg=None)
     with pytest.raises(MissingField):
         et0_from_sr(200.0, fc, SITE)
+    # a model that does not read wind still leaves the hybrid physics short of it
+    no_wind = _zero_model("SR", bias=240.0, names=("temp_max", "temp_min", "rh_avg"))
+    estimates = estimate(ModelBundle(sr_model=no_wind), [fc], SITE)
+    assert estimates["SR_ANN"][0].tolist() == [240.0]
+    with pytest.raises(MissingField) as err:
+        estimates["ET0_HYB"]
+    assert err.value.field == "wind_avg"
     with pytest.raises(MissingField):
-        et0_hybrid_predict(model, make_features(_fc(day), SITE), fc, SITE)
+        et0_hybrid_predict(no_wind, fc, SITE)
 
 
 def test_hybrid_desk_scale_quality(desk_scale):
@@ -336,16 +368,11 @@ def test_hybrid_desk_scale_quality(desk_scale):
 # --- output format -----------------------------------------------------------------
 
 def test_predictions_csv_layout():
-    rows = [
-        pipelines.PredictionRow(dt.date(2022, 7, 15), "WS", None, "ET0_ANN",
-                                Prediction(4.25, False)),
-        pipelines.PredictionRow(dt.date(2022, 7, 16), "VC", 3, "ET0_HYB",
-                                Prediction(0.0, True)),
-    ]
-    text = predictions_csv(rows)
+    keys = [(dt.date(2022, 7, 15), "WS", None), (dt.date(2022, 7, 16), "VC", 3)]
+    text = predictions_csv("ET0_HYB", keys, np.array([4.25, 0.0]), np.array([False, True]))
     lines = text.strip().splitlines()
     assert lines[0] == "date,source,horizon,estimator,value,clamped"
-    assert lines[1] == "2022-07-15,WS,,ET0_ANN,4.25,0"
+    assert lines[1] == "2022-07-15,WS,,ET0_HYB,4.25,0"
     assert lines[2] == "2022-07-16,VC,3,ET0_HYB,0.0,1"
 
 

@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import etoforge
 
 from etoforge.errors import (ConstantFeature, CorruptModel, NonFinite,
                              ShapeMismatch, VersionMismatch)
@@ -174,6 +180,36 @@ def test_training_is_deterministic():
     assert a.training_meta["loss_curve"] == b.training_meta["loss_curve"]
     assert all(np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
     assert all(np.array_equal(ba, bb) for ba, bb in zip(a.biases, b.biases))
+
+
+# trains on the synthetic site and writes the saved model to stdout; batches of 512
+# rows make OpenBLAS split the 512x32x32 products across threads when it may
+_TRAIN_AND_SAVE = """
+import sys
+from etoforge import pipelines, regressor
+from etoforge.synthetic import synthetic_dataset
+site, observations, _ = synthetic_dataset(seed=5, n_days=730)
+X, _ = pipelines.feature_matrix(observations, site)
+y = pipelines.build_sr_target(observations).values
+cfg = regressor.TrainConfig(epochs=15, batch_size=512, seed=3)
+model = regressor.train((X, y), ((32, 32), "relu"), cfg,
+                        feature_names=pipelines.FEATURE_NAMES, target_name="SR")
+regressor.save(model, sys.stdout)
+"""
+
+
+def test_training_is_deterministic_across_blas_threads():
+    """The saved model is the same bytes whether OpenBLAS runs on one thread or two."""
+    saved = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(etoforge.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE], env=env,
+                             capture_output=True, timeout=120)
+        assert run.returncode == 0, run.stderr.decode()
+        saved.append(run.stdout)
+    assert saved[0] == saved[1]
+    assert json.loads(saved[0])["training_meta"]["epochs_run"] == 15
 
 
 def test_best_epoch_never_worse_than_initial():
