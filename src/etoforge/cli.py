@@ -25,8 +25,8 @@ from .config import ConfigError, build_config
 from .errors import CorruptModel, EmptyInput, EtoforgeError, MissingCells, VersionMismatch
 from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, PayloadMemo, WsSchema,
                       decode_utf8, fetch_forecasts, load_ws_schema, parse_ws_csv,
-                      records_from_jsonl, records_from_npz, records_to_jsonl, records_to_npz,
-                      serialize_ws_csv, splice_store, ws_schema_text)
+                      records_from_jsonl, records_from_npz, records_to_npz, serialize_ws_csv,
+                      splice_runs, store_chunks, ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
@@ -36,29 +36,58 @@ FORECAST_PAYLOADS = "forecast_payloads.npz"   # the memo of normalized payloads,
 MODEL_FILES = {"ET0": "model_et0.json", "SR": "model_sr.json"}
 
 
-def _write(out_dir: Path, name: str, text) -> Path:
-    """Write `text` (str, or bytes as they are) to out_dir/name and say so."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    if isinstance(text, bytes):
-        path.write_bytes(text)
-    else:
-        path.write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
-    return path
+@contextlib.contextmanager
+def _writing(out_dir: Path, path: Path):
+    """Turn an OSError while writing `path` into a one-line error naming it: ConfigError
+    (exit 2) when out_dir is there but is no directory, EtoforgeError (exit 3) otherwise."""
+    try:
+        yield
+    except OSError as exc:
+        if out_dir.exists() and not out_dir.is_dir():
+            raise ConfigError(f"out_dir {out_dir} is not a directory") from exc
+        raise EtoforgeError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_chunks(out_dir: Path, name: str, chunks) -> bytes:
+    """Write the byte chunks to out_dir/name as they come; the SHA-256 digest of the file."""
+    path, digest = out_dir / name, hashlib.sha256()
+    with _writing(out_dir, path):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+    return digest.digest()
+
+
+def _write(out_dir: Path, name: str, text) -> bytes:
+    """Write `text` (str, or byte chunks) to out_dir/name and say so; the file's SHA-256."""
+    digest = _write_chunks(out_dir, name, [text.encode("utf-8")] if isinstance(text, str)
+                           else text)
+    print(f"wrote {out_dir / name}")
+    return digest
+
+
+def _sha256(path: Path) -> bytes:
+    """The SHA-256 digest of the file at `path`, read in 1 MiB blocks."""
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read(1 << 20))
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.digest()
 
 
 def _write_manifest(out_dir: Path, seed: int, *known) -> None:
-    """List every file of out_dir with its SHA-256. `known` holds (name, hex
-    digest) pairs of files this command hashed already; they are not re-read."""
+    """List every file of out_dir with its SHA-256. `known` holds (name, digest)
+    pairs of files this command wrote or hashed already; they are not re-read."""
     known, files = dict(known), {}
-    for path in sorted(out_dir.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            name = str(path.relative_to(out_dir))
-            files[name] = known.get(name) or hashlib.sha256(path.read_bytes()).hexdigest()
-    doc = {"seed": seed, "files": files}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _writing(out_dir, out_dir / "manifest.json"):
+        for path in sorted(out_dir.rglob("*")):
+            if path.is_file() and path.name != "manifest.json":
+                name = str(path.relative_to(out_dir))
+                files[name] = (known.get(name) or _sha256(path)).hex()
+    doc = json.dumps({"seed": seed, "files": files}, indent=2, sort_keys=True) + "\n"
+    _write_chunks(out_dir, "manifest.json", [doc.encode("utf-8")])
 
 
 def _parse_station_csv(path, schema):
@@ -90,36 +119,33 @@ def _read_columns(out_dir: Path):
     return digest, records_from_npz(path, digest)
 
 
-def _format_store(table, out_dir: Path, named, stored):
-    """(bytes, SHA-256 digest) of the store of `table`. When the store in out_dir has
-    the digest `named` its sidecar names, and `stored` is that sidecar's table, the
-    lines of the rows it holds are copied from it (:func:`splice_store`)."""
+def _store_chunks(table, out_dir: Path, named, stored):
+    """The UTF-8 chunks of the store of `table`. When the store in out_dir has the
+    digest `named` its sidecar names, and `stored` is that sidecar's table, the lines
+    of the rows it holds are copied from it (:func:`splice_runs`), read here, before
+    the chunks are written over that store."""
     old = None
     if stored is not None:
         with contextlib.suppress(OSError):
             old = (out_dir / FORECAST_STORE).read_bytes()
         if old is not None and hashlib.sha256(old).digest() != named:
             old = None   # not held while the store is formatted
-    if old is None:
-        store = records_to_jsonl(table).encode("utf-8")
-        return store, hashlib.sha256(store).digest()
-    store = splice_store(table, stored, old)
-    return store, (named if store is old else hashlib.sha256(store).digest())
+    return store_chunks(table) if old is None else splice_runs(table, stored, old)
 
 
 def _load_forecasts(cfg):
-    """(the forecast table, the store's (name, SHA-256 hex digest) for the manifest)."""
+    """(the forecast table, the store's (name, SHA-256 digest) for the manifest). The
+    store's text is read only when its column sidecar is not valid for it."""
     store = cfg.out_dir / FORECAST_STORE
     if not store.is_file():
         raise ConfigError(f"no ingested forecasts at {store}; run `ingest forecast` first")
-    data = store.read_bytes()
-    digest = hashlib.sha256(data).digest()
+    digest = _sha256(store)
     table = records_from_npz(cfg.out_dir / FORECAST_COLUMNS, digest)
     if table is None:
-        table = records_from_jsonl(decode_utf8(data, store))
+        table = records_from_jsonl(decode_utf8(store.read_bytes(), store))
     if not len(table):
         raise EmptyInput(f"forecast store {store} has no records")
-    return table, (FORECAST_STORE, digest.hex())
+    return table, (FORECAST_STORE, digest)
 
 
 def _load_model(cfg, target: str):
@@ -189,11 +215,12 @@ def cmd_ingest_forecast(cfg) -> int:
         print(f"{provider}: {len(table)} forecast records across "
               f"{days.size} target dates, {spread} horizons per date")
     table = ForecastTable.concat(tables)
-    store, digest = _format_store(table, cfg.out_dir, named, stored)
-    _write(cfg.out_dir, FORECAST_STORE, store)
-    (cfg.out_dir / FORECAST_COLUMNS).write_bytes(records_to_npz(table, digest))
-    (cfg.out_dir / FORECAST_PAYLOADS).write_bytes((memo or PayloadMemo()).to_npz(digest))
-    _write_manifest(cfg.out_dir, cfg.seed, (FORECAST_STORE, digest.hex()))
+    digest = _write(cfg.out_dir, FORECAST_STORE, _store_chunks(table, cfg.out_dir, named, stored))
+    sidecar = _write_chunks(cfg.out_dir, FORECAST_COLUMNS, [records_to_npz(table, digest)])
+    payloads = _write_chunks(cfg.out_dir, FORECAST_PAYLOADS,
+                             [(memo or PayloadMemo()).to_npz(digest)])
+    _write_manifest(cfg.out_dir, cfg.seed, (FORECAST_STORE, digest),
+                    (FORECAST_COLUMNS, sidecar), (FORECAST_PAYLOADS, payloads))
     return 0
 
 
@@ -220,8 +247,9 @@ def cmd_train(cfg, target: str) -> int:
                              mape_epsilon=evalkit.MAPE_EPSILON[target],
                              units=evalkit.UNITS_NOTE[target])
     path = cfg.out_dir / MODEL_FILES[target]
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    regressor.save(model, path)
+    with _writing(cfg.out_dir, path):
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        regressor.save(model, path)
     print(f"wrote {path}")
     print(f"{target} model ({'x'.join(str(h) for h in cfg.hidden)} "
           f"{cfg.activation}, seed {cfg.seed}): held-out R2 = {report.r2:.4f}, "
@@ -287,7 +315,8 @@ def cmd_evaluate(cfg) -> int:
 
     _write(cfg.out_dir, "sweep.csv", evalkit.emit_report(sweep))
     _write(cfg.out_dir, "fidelity.csv", evalkit.emit_report(fidelity))
-    _write(cfg.out_dir, "distributions.csv", evalkit.emit_report(sweep.errors))
+    distributions = _write(cfg.out_dir, "distributions.csv",
+                           evalkit.distribution_chunks(sweep.errors))
 
     usable_lines = ["criterion,threshold,provider,estimator,usable_horizon"]
     for name, tau in (("r2", cfg.r2_threshold), ("mape", cfg.mape_threshold)):
@@ -304,7 +333,7 @@ def cmd_evaluate(cfg) -> int:
                 print(f"usable horizon ({name}{relation}{tau}): "
                       f"{provider}/{estimator} -> d{u}")
     _write(cfg.out_dir, "usable_horizons.csv", "\n".join(usable_lines) + "\n")
-    _write_manifest(cfg.out_dir, cfg.seed, store_hash)
+    _write_manifest(cfg.out_dir, cfg.seed, store_hash, ("distributions.csv", distributions))
     return 0
 
 

@@ -15,6 +15,7 @@ mm/day for ET, 1 W/m2 for SR) are excluded and counted.
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import dataclass, field
 
@@ -168,7 +169,7 @@ class HorizonSweep:
     coverage: dict         # (horizon, provider, estimator) -> matched/total
     omissions: tuple = ()
     metadata: dict = field(default_factory=dict)
-    # key -> [(date, |error|)] the cells were scored from; not emitted
+    # key -> (day ordinals int64, |error| float64) the cells were scored from
     errors: dict = field(default_factory=dict, compare=False, repr=False)
 
     def horizons(self, provider: str, estimator: str):
@@ -190,7 +191,8 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
     two matched dates, that fail metric preconditions, or (ET0_HYB) whose
     physics rejects a day are left out and listed in `omissions` with the
     reason; the sweep never aborts on a cell. The per-day absolute errors of
-    every scored cell are kept in `errors` (see :func:`error_distribution`).
+    every scored cell are kept in `errors` as two columns, the days' ordinals
+    and the errors (see :func:`error_distribution`).
     """
     if models.et0_model is None or models.sr_model is None:
         raise NoModels("the sweep needs trained ET0 and SR models")
@@ -205,12 +207,11 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
         joined.append((provider, horizon, matched, matched[usable], rows[usable], cell_coverage))
     scored = np.concatenate([np.zeros(0, dtype=np.intp), *(rows for *_, rows, _ in joined)])
     estimates = pipelines.estimate(models, table.take(scored), site, forecast_wind_height)
-    dates, end = ordered.dates, 0
+    end = 0
     cells, coverage, omissions, errors = {}, {}, [], {}
     for provider, horizon, matched, positions, rows, cell_coverage in joined:
         cell = slice(end, end + rows.size)
         end = cell.stop
-        cell_dates = [dates[i] for i in positions.tolist()]
         for estimator in ESTIMATORS:
             key = (horizon, provider, estimator)
             kind = TARGET_SR if estimator == "SR_ANN" else TARGET_ET0
@@ -222,7 +223,7 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
                     predicted = pipelines._physics_et0(table.take(rows), sr, site, "average",
                                                        forecast_wind_height).et0
                 actual = targets[kind][positions]
-                errors[key] = list(zip(cell_dates, np.abs(actual - predicted).tolist()))
+                errors[key] = ordered.day[positions], np.abs(actual - predicted)
                 if matched.size < 2:
                     raise LengthMismatch(f"only {matched.size} matched dates")
                 cells[key] = metrics(actual, predicted, mape_epsilon=MAPE_EPSILON[kind],
@@ -280,8 +281,10 @@ def error_distribution(models: ModelBundle, observations, forecasts, site,
     scored rows (``horizon_sweep(...).errors``): every cell the sweep
     scored appears, also one whose metrics failed.
     """
-    return horizon_sweep(models, observations, forecasts, site, horizons, providers,
-                         humidity_mode, forecast_wind_height).errors
+    errors = horizon_sweep(models, observations, forecasts, site, horizons, providers,
+                           humidity_mode, forecast_wind_height).errors
+    return {key: list(zip(map(dt.date.fromordinal, days.tolist()), error.tolist()))
+            for key, (days, error) in errors.items()}
 
 
 # --- report emission --------------------------------------------------------
@@ -312,15 +315,16 @@ def _fidelity_csv(report: FidelityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _distribution_csv(dist: dict) -> str:
-    lines = ["horizon,provider,estimator,date,abs_error"]
+def distribution_chunks(errors: dict):
+    """`distributions.csv` of a sweep's `errors` columns as UTF-8 bytes, one chunk per cell."""
+    yield b"horizon,provider,estimator,date,abs_error\n"
     iso = {}
-    for key in sorted(dist):
-        prefix = "{},{},{},".format(*key)
-        for day, err in dist[key]:
-            day_text = iso.get(day) or iso.setdefault(day, day.isoformat())
-            lines.append(f"{prefix}{day_text},{float(err)!r}")
-    return "\n".join(lines) + "\n"
+    for key in sorted(errors):
+        prefix, (days, error) = "{},{},{},".format(*key), errors[key]
+        dates = [iso.get(day) or iso.setdefault(day, dt.date.fromordinal(day).isoformat())
+                 for day in days.tolist()]
+        yield "".join([f"{prefix}{date},{err!r}\n"
+                       for date, err in zip(dates, error.tolist())]).encode("utf-8")
 
 
 def emit_report(report, fmt: str = "csv") -> str:
@@ -343,5 +347,8 @@ def emit_report(report, fmt: str = "csv") -> str:
     if isinstance(report, dict):
         if not report:
             raise EmptyInput("error distribution is empty")
-        return _distribution_csv(report)
+        columns = {key: (np.array([day.toordinal() for day, _ in rows], dtype=np.int64),
+                         np.array([err for _, err in rows], dtype=np.float64))
+                   for key, rows in report.items()}
+        return b"".join(distribution_chunks(columns)).decode("utf-8")
     raise RangeError(f"cannot emit a report for {type(report).__name__}")

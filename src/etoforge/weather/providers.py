@@ -247,12 +247,14 @@ _STORE_LINE = ('{"extras": %s, "issue_date": "%s", "precip": %s, "provider": "%s
 _NAME_RANK = np.argsort(np.argsort(PROVIDERS))   # provider code -> place in name order
 
 
-def records_to_jsonl(records) -> str:
-    """Serialize forecasts (a ForecastTable or records) as the canonical store.
+def store_chunks(records):
+    """Serialize forecasts (a ForecastTable or records) as the canonical store,
+    yielding its UTF-8 bytes a bounded chunk at a time.
 
     One line per record, sorted by (provider, target date, issue date): the
     text `json.dumps(record, sort_keys=True)` gives, formatted from the
-    columns a bounded chunk at a time (`%s` of a float is its repr, as in JSON).
+    columns 1,024 lines to a chunk (`%s` of a float is its repr, as in JSON).
+    No records give one empty line, the one chunk b"\\n".
     """
     table = as_table(records)
     days, at = np.unique(np.concatenate([table.target, table.issue]), return_inverse=True)
@@ -260,17 +262,20 @@ def records_to_jsonl(records) -> str:
     target, issue = np.split(iso[at], 2)
     names = np.array(PROVIDERS, dtype=object)[table.provider]
     order = _store_order(table)
-    out = io.StringIO()
-    # whole-store columns of text would raise the peak RSS; 4,096 lines at a time do not
-    for rows in np.split(order, range(4096, len(order), 4096)):
+    # the text of 1,024 lines at a time keeps the write's peak below half the store's size
+    for rows in np.split(order, range(1024, len(order), 1024)):
         x = {}
         for name in FORECAST_FIELDS:
             column = x[name] = table.values[name][rows].astype(object)
             column[~table.present[name][rows]] = "null"
-        out.write("".join([_STORE_LINE % line for line in zip(
+        yield "".join([_STORE_LINE % line for line in zip(
             table.extras[rows], issue[rows], x["precip"], names[rows], x["rh_avg"],
-            target[rows], x["temp_max"], x["temp_min"], x["wind_avg"])]))
-    return out.getvalue() or "\n"
+            target[rows], x["temp_max"], x["temp_min"], x["wind_avg"])]).encode("utf-8") or b"\n"
+
+
+def records_to_jsonl(records) -> str:
+    """The canonical store of `records` as text: the joined :func:`store_chunks`."""
+    return b"".join(store_chunks(records)).decode("utf-8")
 
 
 def _store_order(table: ForecastTable) -> np.ndarray:
@@ -279,19 +284,26 @@ def _store_order(table: ForecastTable) -> np.ndarray:
 
 
 def splice_store(records, stored: ForecastTable, store: bytes) -> bytes:
-    """The UTF-8 bytes of `records_to_jsonl(records)`, formatting only the rows `stored` lacks.
+    """The joined :func:`splice_runs`; `store` itself when every line is kept in place."""
+    runs = splice_runs(records, stored, store)
+    return store if runs[0] is store else b"".join(runs)
+
+
+def splice_runs(records, stored: ForecastTable, store: bytes) -> list:
+    """Buffers whose concatenation is the UTF-8 of `records_to_jsonl(records)`, formatting
+    only the rows `stored` lacks.
 
     `stored` is the table of the column sidecar of `store` (:func:`records_from_npz`),
     so line i of `store` is the text of its row i. A row that `stored` holds with the
     same provider, dates, extras text, `present` masks and present values bit for bit
     (-0.0 == 0.0, but their texts differ) takes that line; lines back to back in
-    `store` are copied as one run. One `records_to_jsonl` call formats the other
-    rows. When every line is kept in place, `store` itself is returned.
+    `store` are copied as one run, a memoryview of it. One `records_to_jsonl` call
+    formats the other rows. When every line is kept in place, this is `[store]`.
     """
     table = as_table(records)
     ends = _line_ends(store)
     if not len(table) or not len(stored) or ends.size != len(stored):
-        return records_to_jsonl(table).encode("utf-8")
+        return [records_to_jsonl(table).encode("utf-8")]
     order = _store_order(table)
 
     def key(t):   # store order is the order of these keys
@@ -313,10 +325,10 @@ def splice_store(records, stored: ForecastTable, store: bytes) -> bytes:
     hi[fresh], lo[fresh] = text_ends, text_ends - np.diff(text_ends, prepend=0)
     edges = np.flatnonzero((lo[1:] != hi[:-1]) | (kept[1:] != kept[:-1])) + 1
     if edges.size == 0 and kept[0] and lo[0] == 0 and hi[-1] == len(store):
-        return store
+        return [store]
     views = memoryview(store), memoryview(text)
     runs = zip([0, *edges.tolist()], [*edges.tolist(), len(order)])
-    return b"".join([views[0 if kept[a] else 1][lo[a]:hi[b - 1]] for a, b in runs])
+    return [views[0 if kept[a] else 1][lo[a]:hi[b - 1]] for a, b in runs]
 
 
 def _line_ends(data: bytes) -> np.ndarray:

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
                                 write_synthetic_cache)
 from etoforge.weather import (ForecastTable, providers, records_from_jsonl, records_from_npz,
                               records_to_jsonl, records_to_npz, serialize_ws_csv,
-                              ws_schema_text)
+                              store_chunks, ws_schema_text)
+from etoforge.weather.records import as_table
 
 from .test_pipelines import _polar_night, _zero_model
 
@@ -951,18 +953,76 @@ def test_store_reuse_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch,
 
 
 def _formatting(monkeypatch):
-    """The list of the row counts of the `records_to_jsonl` calls made from now, by
-    `cli` or by `splice_store`."""
+    """The list of the row counts of the `store_chunks` calls made from now, by `cli`
+    or by `splice_runs` (through `records_to_jsonl`)."""
     calls = []
-    format_store = providers.records_to_jsonl
+    format_store = providers.store_chunks
 
     def counting(table):
         calls.append(len(table))
         return format_store(table)
 
-    monkeypatch.setattr(cli, "records_to_jsonl", counting)
-    monkeypatch.setattr(providers, "records_to_jsonl", counting)
+    monkeypatch.setattr(cli, "store_chunks", counting)
+    monkeypatch.setattr(providers, "store_chunks", counting)
     return calls
+
+
+def test_store_write_peaks_below_half_the_store(synth, tmp_path):
+    """Writing a store of 23,360 rows (5.5 MB) as `store_chunks` formats it holds
+    less than half the store's size at its peak."""
+    _, _, forecasts = synth
+    table = as_table(forecasts["VC"] + forecasts["OWM"])
+    tracemalloc.start()
+    try:
+        digest = cli._write(tmp_path, cli.FORECAST_STORE, store_chunks(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = (tmp_path / cli.FORECAST_STORE).read_bytes()
+    assert store == records_to_jsonl(table).encode("utf-8")
+    assert digest == hashlib.sha256(store).digest()
+    assert len(table) == 23360 and 0 < peak < len(store) / 2
+
+
+UNWRITABLE_COMMANDS = {
+    "ingest-ws": ["ingest", "ws"],
+    "ingest-forecast": ["ingest", "forecast", "--offline",
+                        "--set", "start_date=2020-01-20", "--set", "end_date=2020-02-09"],
+    "evaluate": ["evaluate"],
+}
+
+
+@pytest.mark.parametrize("command", ["ingest-ws", "ingest-forecast"])
+def test_out_dir_that_is_a_file_is_a_config_error(small_ws, tmp_path, capsys, command):
+    """An out_dir that is a regular file ends in exit 2 and one error line naming it."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    out_file = root / "out.txt"
+    out_file.write_text("not a directory\n")
+    capsys.readouterr()
+    argv = _copy_argv(small_ws, root, UNWRITABLE_COMMANDS[command]) + ["--out-dir", str(out_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: out_dir {out_file} is not a directory\n"
+    assert out_file.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("ingest-ws", cli.OBS_STORE), ("ingest-ws", "manifest.json"),
+    ("ingest-forecast", cli.FORECAST_STORE), ("ingest-forecast", cli.FORECAST_COLUMNS),
+    ("evaluate", "distributions.csv"),
+], ids=lambda value: value.replace(".", "-"))
+def test_unwritable_output_is_a_typed_failure(small_ws, tmp_path, capsys, command, blocked):
+    """An output path that is a directory ends in exit 3 and one error line naming it."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    path = root / "out" / blocked
+    if path.exists():
+        path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert _run_in_copy(small_ws, root, UNWRITABLE_COMMANDS[command]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: Is a directory\n"
 
 
 def test_unchanged_warm_ingest_formats_no_store(payload_ws, tmp_path, capsys, monkeypatch):

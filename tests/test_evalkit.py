@@ -14,9 +14,9 @@ from etoforge.errors import (DegenerateActuals, EmptyInput,
                              RangeError)
 from etoforge.evalkit import (FIDELITY_FEATURES, FidelityReport, HorizonSweep,
                               MetricReport, ModelBundle, _aligned_cells,
-                              compare_forecast_fidelity, emit_report,
-                              error_distribution, horizon_sweep, metrics,
-                              usable_horizon)
+                              compare_forecast_fidelity, distribution_chunks,
+                              emit_report, error_distribution, horizon_sweep,
+                              metrics, usable_horizon)
 from etoforge.synthetic import (synthetic_forecasts, synthetic_observations,
                                 synthetic_site)
 from etoforge.weather import (ForecastTable, align_horizons, by_date, records_from_jsonl,
@@ -24,6 +24,14 @@ from etoforge.weather import (ForecastTable, align_horizons, by_date, records_fr
 
 from .gen_golden import GOLDEN_PATH, build_report
 from .test_pipelines import _polar_night, _zero_model
+
+
+def _same_errors(a, b):
+    """Whether two sweeps' `errors` hold the same cells, with the same (day ordinals,
+    |error|) columns bit for bit."""
+    return a.keys() == b.keys() and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for key in a for x, y in zip(a[key], b[key], strict=True))
 
 
 def _brute_force(actual, predicted, eps=1e-9):
@@ -222,7 +230,7 @@ def test_absent_optional_fields_are_masked_out(small_world, full_models):
             observations, kept, ("VC",), horizons).cells.items() if key[0] == "HumidityAvg"}}
     sweep = horizon_sweep(full_models, observations, table, site, horizons, ("VC",))
     masked = horizon_sweep(full_models, observations, kept, site, horizons, ("VC",))
-    assert sweep.cells == masked.cells and sweep.errors == masked.errors
+    assert sweep.cells == masked.cells and _same_errors(sweep.errors, masked.errors)
     assert all(report.n < len(observations) for report in sweep.cells.values())
 
 
@@ -267,7 +275,7 @@ def test_sweep_fallback_omits_only_the_cells_whose_physics_fails():
                           providers=("VC",), humidity_mode="average")
     assert not alone.omissions
     assert alone.cells == {k: v for k, v in sweep.cells.items() if k[0] == 0}
-    assert alone.errors == {k: v for k, v in sweep.errors.items() if k[0] == 0}
+    assert _same_errors(alone.errors, {k: v for k, v in sweep.errors.items() if k[0] == 0})
 
 
 def test_sweep_runs_each_model_once_over_every_cell(synth, full_models, monkeypatch):
@@ -465,15 +473,26 @@ def test_distribution_median_grows_with_horizon(synth, full_models, degradation_
 # --- emission ---------------------------------------------------------------------------
 
 def test_distribution_csv_is_the_plain_rendering(small_world, full_models):
+    """The streamed distributions of a sweep's `errors` columns, one chunk per cell,
+    are the plain rendering of those columns and equal `emit_report` of the
+    `error_distribution` lists."""
     site, observations = small_world
     forecasts = synthetic_forecasts(observations, "VC", seed=2) \
         + synthetic_forecasts(observations, "OWM", seed=3)
-    dist = horizon_sweep(full_models, observations, forecasts, site,
-                         humidity_mode="average").errors
+    errors = horizon_sweep(full_models, observations, forecasts, site,
+                           humidity_mode="average").errors
+    assert all(days.dtype == np.int64 and error.dtype == np.float64
+               for days, error in errors.values())
     plain = ["horizon,provider,estimator,date,abs_error"] + [
-        f"{h},{p},{e},{day.isoformat()},{float(err)!r}"
-        for (h, p, e) in sorted(dist) for day, err in dist[(h, p, e)]]
-    assert emit_report(dist) == "\n".join(plain) + "\n"
+        f"{h},{p},{e},{dt.date.fromordinal(day).isoformat()},{err!r}"
+        for (h, p, e) in sorted(errors)
+        for day, err in zip(*(column.tolist() for column in errors[(h, p, e)]))]
+    chunks = list(distribution_chunks(errors))
+    assert len(chunks) == 1 + len(errors) == 1 + 16 * 2 * 3
+    assert b"".join(chunks).decode("utf-8") == "\n".join(plain) + "\n"
+    dist = error_distribution(full_models, observations, forecasts, site,
+                              humidity_mode="average")
+    assert emit_report(dist).encode("utf-8") == b"".join(chunks)
 
 
 def test_sweep_csv_shape(degradation_sweep):

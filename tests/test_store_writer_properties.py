@@ -1,5 +1,6 @@
 """The store writer is byte-identical to one sorted-key json.dumps per record."""
 
+import dataclasses
 import datetime as dt
 import hashlib
 import io
@@ -9,7 +10,7 @@ import pytest
 
 from etoforge.weather import (ForecastRecord, ForecastTable, load_provider_mapping,
                               normalize_payload, records_from_jsonl, records_from_npz,
-                              records_to_jsonl, records_to_npz)
+                              records_to_jsonl, records_to_npz, store_chunks)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -99,3 +100,25 @@ def test_store_writer_is_byte_identical_to_json_dumps(rows):
     records = [ForecastRecord(**{**vars(r), "rh_avg": None, "wind_avg": None})
                if row[-1] else r for r, row in zip(records, rows)][::-1]
     assert records_to_jsonl(records) == _oracle(records)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097])
+def test_store_chunks_join_to_the_store(synth, n):
+    """The UTF-8 chunks `store_chunks` yields, 1,024 lines each but the last, join to
+    the store text: one json.dumps per record, also for -0.0, absent fields and
+    non-ASCII extras. No records give the one line "\\n"."""
+    _, _, forecasts = synth
+    records = [dataclasses.replace(
+        r, precip=-0.0 if i % 3 == 0 else r.precip, rh_avg=None if i % 5 == 0 else r.rh_avg,
+        wind_avg=None if i % 5 == 0 else r.wind_avg,
+        extras={"conditions": "pluie légère", "index": i} if i % 7 == 0 else r.extras)
+        for i, r in enumerate((forecasts["VC"] + forecasts["OWM"])[:n])]
+    chunks = list(store_chunks(records))
+    assert all(type(chunk) is bytes for chunk in chunks)
+    assert [chunk.count(b"\n") for chunk in chunks] == (
+        [1024] * (n // 1024) + [n % 1024] * bool(n % 1024) or [1])
+    store = b"".join(chunks).decode("utf-8")
+    assert store == _oracle(records) == records_to_jsonl(records)
+    # json.dumps escapes non-ASCII text
+    assert ('"precip": -0.0' in store, '"rh_avg": null' in store,
+            '"pluie l\\u00e9g\\u00e8re"' in store) == (n > 0,) * 3
