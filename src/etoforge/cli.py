@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -49,14 +50,21 @@ def _writing(out_dir: Path, path: Path):
 
 
 def _write_chunks(out_dir: Path, name: str, chunks) -> bytes:
-    """Write the byte chunks to out_dir/name as they come; the SHA-256 digest of the file."""
-    path, digest = out_dir / name, hashlib.sha256()
+    """Write the byte chunks to out_dir/name as they come; the SHA-256 digest of the file.
+    They go to a temporary file moved onto out_dir/name after the last chunk, so a write
+    that fails part-way leaves the old file whole."""
+    path, part, digest = out_dir / name, out_dir / f".{name}.part", hashlib.sha256()
     with _writing(out_dir, path):
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            for chunk in chunks:
-                digest.update(chunk)
-                fh.write(chunk)
+        try:
+            with open(part, "wb") as fh:
+                for chunk in chunks:
+                    digest.update(chunk)
+                    fh.write(chunk)
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
     return digest.digest()
 
 
@@ -70,8 +78,8 @@ def _write(out_dir: Path, name: str, text) -> bytes:
 
 def _sha256(path: Path) -> bytes:
     """The SHA-256 digest of the file at `path`, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read(1 << 20))
         while block := fh.read(1 << 20):
             digest.update(block)
     return digest.digest()
@@ -120,17 +128,20 @@ def _read_columns(out_dir: Path):
 
 
 def _store_chunks(table, out_dir: Path, named, stored):
-    """The UTF-8 chunks of the store of `table`. When the store in out_dir has the
-    digest `named` its sidecar names, and `stored` is that sidecar's table, the lines
-    of the rows it holds are copied from it (:func:`splice_runs`), read here, before
-    the chunks are written over that store."""
+    """The UTF-8 chunks of the store of `table`, or None when the store in out_dir is
+    that store already. When that store has the digest `named` its sidecar names, and
+    `stored` is that sidecar's table, the lines of the rows it holds are copied from it
+    (:func:`splice_runs`), read here, before the chunks are written over that store."""
     old = None
     if stored is not None:
         with contextlib.suppress(OSError):
             old = (out_dir / FORECAST_STORE).read_bytes()
         if old is not None and hashlib.sha256(old).digest() != named:
             old = None   # not held while the store is formatted
-    return store_chunks(table) if old is None else splice_runs(table, stored, old)
+    if old is None:
+        return store_chunks(table)
+    runs = splice_runs(table, stored, old)
+    return None if runs == [old] else runs
 
 
 def _load_forecasts(cfg):
@@ -215,7 +226,12 @@ def cmd_ingest_forecast(cfg) -> int:
         print(f"{provider}: {len(table)} forecast records across "
               f"{days.size} target dates, {spread} horizons per date")
     table = ForecastTable.concat(tables)
-    digest = _write(cfg.out_dir, FORECAST_STORE, _store_chunks(table, cfg.out_dir, named, stored))
+    chunks = _store_chunks(table, cfg.out_dir, named, stored)
+    if chunks is None:   # the store on disk holds these bytes: keep it and its digest
+        digest = named
+        print(f"wrote {cfg.out_dir / FORECAST_STORE}")
+    else:
+        digest = _write(cfg.out_dir, FORECAST_STORE, chunks)
     sidecar = _write_chunks(cfg.out_dir, FORECAST_COLUMNS, [records_to_npz(table, digest)])
     payloads = _write_chunks(cfg.out_dir, FORECAST_PAYLOADS,
                              [(memo or PayloadMemo()).to_npz(digest)])

@@ -9,8 +9,7 @@ from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
 from .providers import (ENV_KEYS, FieldMap, ForecastCache, PayloadMemo, ProviderMapping,
                         fetch_forecasts, load_provider_mapping,
                         normalize_payload, records_from_jsonl, records_from_npz,
-                        records_to_jsonl, records_to_npz, splice_runs, splice_store,
-                        store_chunks)
+                        records_to_jsonl, records_to_npz, splice_runs, store_chunks)
 from . import units
 
 __all__ = [
@@ -22,5 +21,5 @@ __all__ = [
     "ForecastCache",
     "PayloadMemo", "ProviderMapping", "fetch_forecasts", "load_provider_mapping",
     "normalize_payload", "records_from_jsonl", "records_from_npz", "records_to_jsonl",
-    "records_to_npz", "splice_runs", "splice_store", "store_chunks", "units",
+    "records_to_npz", "splice_runs", "store_chunks", "units",
 ]

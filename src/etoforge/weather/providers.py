@@ -283,13 +283,7 @@ def _store_order(table: ForecastTable) -> np.ndarray:
     return np.lexsort((table.issue, table.target, _NAME_RANK[table.provider]))
 
 
-def splice_store(records, stored: ForecastTable, store: bytes) -> bytes:
-    """The joined :func:`splice_runs`; `store` itself when every line is kept in place."""
-    runs = splice_runs(records, stored, store)
-    return store if runs[0] is store else b"".join(runs)
-
-
-def splice_runs(records, stored: ForecastTable, store: bytes) -> list:
+def splice_runs(records, stored: ForecastTable, store: bytes):
     """Buffers whose concatenation is the UTF-8 of `records_to_jsonl(records)`, formatting
     only the rows `stored` lacks.
 
@@ -297,13 +291,15 @@ def splice_runs(records, stored: ForecastTable, store: bytes) -> list:
     so line i of `store` is the text of its row i. A row that `stored` holds with the
     same provider, dates, extras text, `present` masks and present values bit for bit
     (-0.0 == 0.0, but their texts differ) takes that line; lines back to back in
-    `store` are copied as one run, a memoryview of it. One `records_to_jsonl` call
-    formats the other rows. When every line is kept in place, this is `[store]`.
+    `store` are copied as one run, a memoryview of it. One `store_chunks` call
+    formats the other rows. When every line is kept in place, this is `[store]`; when
+    no line can be copied (no rows, or `stored` does not match `store`'s lines), it is
+    `store_chunks(records)`.
     """
     table = as_table(records)
     ends = _line_ends(store)
     if not len(table) or not len(stored) or ends.size != len(stored):
-        return [records_to_jsonl(table).encode("utf-8")]
+        return store_chunks(table)
     order = _store_order(table)
 
     def key(t):   # store order is the order of these keys
@@ -318,7 +314,7 @@ def splice_runs(records, stored: ForecastTable, store: bytes) -> list:
             ~present | (stored.values[name][src].view(np.uint64)
                         == table.values[name][order].view(np.uint64)))
     fresh = np.flatnonzero(~kept)
-    text = records_to_jsonl(table.take(order[fresh])).encode("utf-8") if fresh.size else b""
+    text = b"".join(store_chunks(table.take(order[fresh]))) if fresh.size else b""
     # each row's line is lo:hi of `store` if kept, of `text` if fresh
     hi, text_ends = ends[src], _line_ends(text)
     lo = hi - np.diff(ends, prepend=0)[src]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import etoforge
-from etoforge import cli, regressor
+from etoforge import cli, evalkit, regressor
 from etoforge.cli import main
 from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
                                 write_synthetic_cache)
@@ -895,6 +895,35 @@ def test_a_repeated_provider_leaves_no_memo_to_reuse(payload_ws, tmp_path, capsy
     assert _ingest_outputs(payload_ws, root, capsys, monkeypatch)[3:] == expected[3:]
 
 
+_SHA256 = hashlib.sha256
+
+
+def _store_bytes_hashed(monkeypatch, store: bytes):
+    """A function that gives how many bytes the SHA-256 hashers made from now took in,
+    through `hashlib.sha256(...)` or `update`, summed over the hashers whose digest is
+    that of `store`: its size when the store was hashed once."""
+    hashers, want = [], _SHA256(store).digest()
+
+    class Counting:
+        def __init__(self, data=b""):
+            self.hasher, self.size = _SHA256(), 0
+            hashers.append(self)
+            self.update(data)
+
+        def update(self, data):
+            self.size += memoryview(data).nbytes
+            self.hasher.update(data)
+
+        def digest(self):
+            return self.hasher.digest()
+
+        def hexdigest(self):
+            return self.hasher.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Counting)
+    return lambda: sum(h.size for h in hashers if h.digest() == want)
+
+
 @pytest.mark.parametrize("memo", [True, False], ids=["warm", "cold"])
 def test_ingest_forecast_hashes_the_store_once(payload_ws, tmp_path, monkeypatch, memo):
     """`ingest forecast` over unchanged payloads hashes the store once: the bytes
@@ -904,19 +933,12 @@ def test_ingest_forecast_hashes_the_store_once(payload_ws, tmp_path, monkeypatch
     if not memo:
         (root / "out" / cli.FORECAST_PAYLOADS).unlink()
     store = (root / "out" / "forecasts.jsonl").read_bytes()
-    hashed = []
-    sha256 = hashlib.sha256
-
-    def counting(data=b""):
-        hashed.append(len(data) if data == store else 0)
-        return sha256(data)
-
-    monkeypatch.setattr(hashlib, "sha256", counting)
+    hashed = _store_bytes_hashed(monkeypatch, store)
     assert _run_in_copy(payload_ws, root, INGEST) == 0
     assert (root / "out" / "forecasts.jsonl").read_bytes() == store
-    assert sum(hashed) == len(store) > 0
+    assert hashed() == len(store) > 0
     manifest = json.loads((root / "out" / "manifest.json").read_text())
-    assert manifest["files"]["forecasts.jsonl"] == sha256(store).hexdigest()
+    assert manifest["files"]["forecasts.jsonl"] == _SHA256(store).hexdigest()
 
 
 REUSE_CASES = ([("store", fault, sidecar) for fault in STORE_FAULTS
@@ -954,7 +976,7 @@ def test_store_reuse_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch,
 
 def _formatting(monkeypatch):
     """The list of the row counts of the `store_chunks` calls made from now, by `cli`
-    or by `splice_runs` (through `records_to_jsonl`)."""
+    or by `splice_runs`."""
     calls = []
     format_store = providers.store_chunks
 
@@ -1023,6 +1045,44 @@ def test_unwritable_output_is_a_typed_failure(small_ws, tmp_path, capsys, comman
     assert _run_in_copy(small_ws, root, UNWRITABLE_COMMANDS[command]) == 3
     err = capsys.readouterr().err
     assert err == f"error: cannot write {path}: Is a directory\n"
+
+
+class _Interrupted(Exception):
+    pass
+
+
+CUT_WRITES = {   # (the file a command is cut writing: its command, the formatter cut, set-up)
+    "forecasts-jsonl-splice": ("ingest-forecast", cli, "_store_chunks", []),
+    "forecasts-jsonl-cold": ("ingest-forecast", cli, "_store_chunks", [cli.FORECAST_COLUMNS]),
+    "distributions-csv": ("evaluate", evalkit, "distribution_chunks", []),
+}
+
+
+@pytest.mark.parametrize("case", CUT_WRITES)
+def test_a_write_cut_part_way_leaves_the_old_files(small_ws, tmp_path, monkeypatch, case):
+    """A command whose chunks stop coming part-way (a timeout, a MemoryError) leaves
+    the file it was writing, the store's sidecar and every other `out/` file as they
+    were, and no temporary file. The ingest's dates differ from the workspace's, so
+    its store is formatted: spliced from the old one, or whole without a sidecar."""
+    command, module, formatter, deleted = CUT_WRITES[case]
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    for name in deleted:
+        (root / "out" / name).unlink()
+    argv = UNWRITABLE_COMMANDS[command]
+    if command == "evaluate":
+        assert _run_in_copy(small_ws, root, argv) == 0
+    before = _file_bytes(root / "out")
+    format_chunks = getattr(module, formatter)
+
+    def cut(*args):
+        yield next(iter(format_chunks(*args)))
+        raise _Interrupted
+
+    monkeypatch.setattr(module, formatter, cut)
+    with pytest.raises(_Interrupted):
+        _run_in_copy(small_ws, root, argv)
+    assert _file_bytes(root / "out") == before
 
 
 def test_unchanged_warm_ingest_formats_no_store(payload_ws, tmp_path, capsys, monkeypatch):
@@ -1146,18 +1206,11 @@ def test_evaluate_hashes_the_forecast_store_once(small_ws, tmp_path, monkeypatch
     if not sidecar:
         (root / "out" / "forecasts.npz").unlink()
     store = (root / "out" / "forecasts.jsonl").read_bytes()
-    hashed = []
-    sha256 = hashlib.sha256
-
-    def counting(data=b""):
-        hashed.append(len(data) if data == store else 0)
-        return sha256(data)
-
-    monkeypatch.setattr(hashlib, "sha256", counting)
+    hashed = _store_bytes_hashed(monkeypatch, store)
     assert _run_in_copy(small_ws, root, ["evaluate"]) == 0
-    assert sum(hashed) == len(store) > 0
+    assert hashed() == len(store) > 0
     manifest = json.loads((root / "out" / "manifest.json").read_text())
-    assert manifest["files"]["forecasts.jsonl"] == sha256(store).hexdigest()
+    assert manifest["files"]["forecasts.jsonl"] == _SHA256(store).hexdigest()
 
 
 @pytest.mark.parametrize("key, value, message", [

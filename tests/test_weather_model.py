@@ -23,7 +23,7 @@ from etoforge.weather import (AlignedPair, DailyObservation, ForecastCache,
                               normalize_payload, parse_ws_csv,
                               providers, records_from_jsonl, records_from_npz,
                               records_to_jsonl, records_to_npz, serialize_ws_csv,
-                              splice_store, units, ws_schema_text)
+                              splice_runs, units, ws_schema_text)
 
 D = dt.date
 
@@ -734,7 +734,7 @@ SPLICE_EDITS = {   # an edit of a list of records, given a random generator
 
 @pytest.mark.parametrize("edit", SPLICE_EDITS)
 def test_splice_store_gives_the_formatted_store(synth, monkeypatch, edit):
-    """splice_store over a store and its sidecar's table gives the bytes
+    """splice_runs over a store and its sidecar's table joins to the bytes
     records_to_jsonl gives for any edit of the rows, in any input order, and
     formats only the rows whose line the store lacks."""
     _, _, forecasts = synth
@@ -743,20 +743,21 @@ def test_splice_store_gives_the_formatted_store(synth, monkeypatch, edit):
     digest = bytes(range(32))
     store = records_to_jsonl(base).encode("utf-8")
     stored = records_from_npz(io.BytesIO(records_to_npz(base, digest)), digest)
-    formatted, format_store = [], providers.records_to_jsonl
-    monkeypatch.setattr(providers, "records_to_jsonl",
+    formatted, format_store = [], providers.store_chunks
+    monkeypatch.setattr(providers, "store_chunks",
                         lambda table: formatted.append(len(table)) or format_store(table))
     rng = np.random.default_rng(3)
     for _ in range(5):
         records = SPLICE_EDITS[edit](base, rng)
         records = [records[i] for i in rng.permutation(len(records))]
+        want = b"".join(format_store(records))
         formatted.clear()
-        want = format_store(records).encode("utf-8")
-        assert splice_store(records, stored, store) == want
+        assert b"".join(splice_runs(records, stored, store)) == want
         lines = set(store.splitlines(keepends=True))
         fresh = sum(line not in lines for line in want.splitlines(keepends=True)) * bool(records)
         assert formatted == ([fresh] if fresh or not records else [])
-    assert splice_store(base[::-1], stored, store) is store
+    runs = splice_runs(base[::-1], stored, store)
+    assert len(runs) == 1 and runs[0] is store
 
 
 def test_store_load_adds_fewer_gc_objects_than_records(synth):
