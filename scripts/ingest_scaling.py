@@ -7,15 +7,15 @@ Each size gets its own workspace from `synthetic_dataset(seed=11)`: the
 station CSV, its schema, both providers' cached payloads and a config.
 `ingest ws` runs once; `ingest forecast --offline` then runs in this
 process three times cold, as a first ingest: the store
-(`forecasts.jsonl`), its column sidecar (`forecasts.npz`) and the payload
-memo (`forecast_payloads.npz`) are deleted before each run, so every
-payload is normalized and the store is formatted. It then runs three
-times warm, over what the run before wrote: no payload is normalized and
-the store's bytes are kept. Last it runs three times on a new observed
-day: each run follows an untimed one with `end_date` one day before the
-last observed date, so the range gains a day, one payload per provider is
-normalized and only that day's rows are formatted. The best time of each
-kind counts. Linear growth reads 4.0x.
+(`forecasts.jsonl`) and its column sidecar (`forecasts.npz`, which holds
+the payload keys) are deleted before each run, so every payload is
+normalized and the store is formatted. It then runs three times warm,
+over what the run before wrote: no payload is normalized and the store's
+bytes are kept. Last it runs three times on a new observed day: each run
+follows an untimed one with `end_date` one day before the last observed
+date, so the range gains a day, the 16 payloads per provider with rows on
+that day are normalized again and only that day's rows are formatted.
+The best time of each kind counts. Linear growth reads 4.0x.
 """
 
 import contextlib
@@ -48,8 +48,7 @@ def best_ingest_seconds(root: Path, n_days: int) -> dict:
         f"wind_sensor_height = {site.wind_sensor_height}\nws_csv = {root / 'ws.csv'}\n"
         f"ws_schema = {root / 'ws.schema'}\nforecast_cache = {root / 'cache'}\n"
         f"out_dir = {root / 'out'}\n", encoding="utf-8")
-    written = [root / "out" / name
-               for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS, cli.FORECAST_PAYLOADS)]
+    written = [root / "out" / name for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS)]
     ingest = ["ingest", "forecast", "--offline"]
     day_before = observations[-1].date - dt.timedelta(days=1)
     runs = ([("setup", ["ingest", "ws"])]

@@ -33,7 +33,6 @@ OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
 FORECAST_STORE = "forecasts.jsonl"
 FORECAST_COLUMNS = "forecasts.npz"   # the store's column sidecar, read when valid
-FORECAST_PAYLOADS = "forecast_payloads.npz"   # the memo of normalized payloads, read when valid
 MODEL_FILES = {"ET0": "model_et0.json", "SR": "model_sr.json"}
 
 
@@ -86,12 +85,13 @@ def _sha256(path: Path) -> bytes:
 
 
 def _write_manifest(out_dir: Path, seed: int, *known) -> None:
-    """List every file of out_dir with its SHA-256. `known` holds (name, digest)
+    """List every file of out_dir with its SHA-256, but for the `.NAME.part` temporaries
+    of :func:`_write_chunks` that a killed run leaves. `known` holds (name, digest)
     pairs of files this command wrote or hashed already; they are not re-read."""
     known, files = dict(known), {}
     with _writing(out_dir, out_dir / "manifest.json"):
         for path in sorted(out_dir.rglob("*")):
-            if path.is_file() and path.name != "manifest.json":
+            if path.is_file() and path.name != "manifest.json" and not path.match(".*.part"):
                 name = str(path.relative_to(out_dir))
                 files[name] = (known.get(name) or _sha256(path)).hex()
     doc = json.dumps({"seed": seed, "files": files}, indent=2, sort_keys=True) + "\n"
@@ -115,25 +115,13 @@ def _load_observations(cfg):
     return _parse_station_csv(store, schema or WsSchema.canonical())
 
 
-def _read_columns(out_dir: Path):
-    """(the SHA-256 digest the column sidecar in out_dir names, its table for that
-    store); (None, None) when it does not read as a sidecar."""
-    path = out_dir / FORECAST_COLUMNS
-    try:
-        with np.load(path) as member:
-            digest = member["store_sha256"].tobytes()
-    except Exception:  # any unreadable sidecar only means no row is known
-        return None, None
-    return digest, records_from_npz(path, digest)
-
-
 def _store_chunks(table, out_dir: Path, named, stored):
     """The UTF-8 chunks of the store of `table`, or None when the store in out_dir is
     that store already. When that store has the digest `named` its sidecar names, and
     `stored` is that sidecar's table, the lines of the rows it holds are copied from it
     (:func:`splice_runs`), read here, before the chunks are written over that store."""
     old = None
-    if stored is not None:
+    if len(stored):
         with contextlib.suppress(OSError):
             old = (out_dir / FORECAST_STORE).read_bytes()
         if old is not None and hashlib.sha256(old).digest() != named:
@@ -206,18 +194,17 @@ def cmd_ingest_forecast(cfg) -> int:
                               if cfg.start_date else
                               f"end_date={end} is before the first observed date {start}")
     site = cfg.site()
-    # the sidecar's rows feed the memo; after the fetch, the lines of those still in the
-    # store are copied from the store on disk, once its hash shows the sidecar is its own
-    named, stored = _read_columns(cfg.out_dir)
-    # a provider listed twice has its rows twice in the sidecar, where no memo key tells them apart
-    memo = (PayloadMemo.read(cfg.out_dir / FORECAST_PAYLOADS, stored, named)
-            if len(set(cfg.providers)) == len(cfg.providers) else None)
+    # the sidecar's rows and keys spare payloads their normalizing; after the fetch, the
+    # lines of its rows are copied from the store on disk, once its hash shows it is its own
+    memo = PayloadMemo(cfg.out_dir / FORECAST_COLUMNS)
     tables = []
     for provider in cfg.providers:
+        # a provider listed twice has its rows twice in the sidecar, where no key tells
+        # them apart: such a run neither reuses nor records a payload
         table = fetch_forecasts(
-            provider, site, (start, end),
-            cache_dir=cfg.forecast_cache, offline=cfg.offline,
-            tz_offset_hours=cfg.tz_offset_hours, memo=memo)
+            provider, site, (start, end), cache_dir=cfg.forecast_cache, offline=cfg.offline,
+            tz_offset_hours=cfg.tz_offset_hours,
+            memo=memo if len(set(cfg.providers)) == len(cfg.providers) else None)
         tables.append(table)
         cells = np.unique(table.target * (MAX_HORIZON + 1) + table.horizon)
         days, per_date = np.unique(cells // (MAX_HORIZON + 1), return_counts=True)
@@ -226,17 +213,15 @@ def cmd_ingest_forecast(cfg) -> int:
         print(f"{provider}: {len(table)} forecast records across "
               f"{days.size} target dates, {spread} horizons per date")
     table = ForecastTable.concat(tables)
-    chunks = _store_chunks(table, cfg.out_dir, named, stored)
+    chunks = _store_chunks(table, cfg.out_dir, memo.named, memo.stored)
     if chunks is None:   # the store on disk holds these bytes: keep it and its digest
-        digest = named
+        digest = memo.named
         print(f"wrote {cfg.out_dir / FORECAST_STORE}")
     else:
         digest = _write(cfg.out_dir, FORECAST_STORE, chunks)
-    sidecar = _write_chunks(cfg.out_dir, FORECAST_COLUMNS, [records_to_npz(table, digest)])
-    payloads = _write_chunks(cfg.out_dir, FORECAST_PAYLOADS,
-                             [(memo or PayloadMemo()).to_npz(digest)])
-    _write_manifest(cfg.out_dir, cfg.seed, (FORECAST_STORE, digest),
-                    (FORECAST_COLUMNS, sidecar), (FORECAST_PAYLOADS, payloads))
+    sidecar = _write_chunks(cfg.out_dir, FORECAST_COLUMNS,
+                            [records_to_npz(table, digest, **memo.members())])
+    _write_manifest(cfg.out_dir, cfg.seed, (FORECAST_STORE, digest), (FORECAST_COLUMNS, sidecar))
     return 0
 
 

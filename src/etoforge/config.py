@@ -17,7 +17,7 @@ from .errors import EtoforgeError
 from .fao56 import HUMIDITY_MODES, wind_profile_holds
 from .pipelines import FEATURE_NAMES
 from .regressor import ACTIVATIONS, TrainConfig
-from .weather.providers import tz_shift
+from .weather.normalize import tz_shift
 from .weather.records import MAX_HORIZON, PROVIDERS, SiteMetadata
 from .weather.station_csv import CSV_FIELDS
 

@@ -1,12 +1,8 @@
 """Forecast-service ingestion: fetch, cache, and normalize provider payloads.
 
 Two services are wired in: Visual Crossing ("VC") and OpenWeatherMap
-("OWM"). What each provider calls its fields, where the per-day entries
-live in the payload, and which units they arrive in is described by a
-versioned mapping table (JSON, shipped under ``etoforge/provider_maps/``
-and overridable per call) rather than by code, since provider schemas
-drift. A mapping is compiled once, at load: key tuples for its paths,
-one unit converter per field and one target-date parser.
+("OWM"); how their payloads map to canonical fields is in
+:mod:`etoforge.weather.normalize`.
 
 Every raw response body is written to the cache directory, one file per
 (provider, issue date) at ``<provider>/<issue-date>.json``, before any
@@ -25,30 +21,25 @@ basis date parameter).
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import functools
 import hashlib
 import io
 import json
-import logging
 import os
 import tempfile
-import zipfile
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from ..errors import (AuthError, CacheMiss, ProviderSchemaError, RangeError,
                       RateLimited)
-from . import records, units
+from . import normalize, records, units
+from .normalize import load_provider_mapping, normalize_payload, tz_shift
 from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastTable,
-                      SiteMetadata, as_table, check_forecast_values, rejected_rows,
-                      sorted_json)
-
-log = logging.getLogger(__name__)
+                      SiteMetadata, as_table, rejected_rows, sorted_json)
 
 ENV_KEYS = {"VC": "ETOFORGE_VC_API_KEY", "OWM": "ETOFORGE_OWM_API_KEY"}
 
@@ -56,72 +47,6 @@ _ENDPOINTS = {
     "VC": "https://weather.visualcrossing.com/VisualCrossingWebServices/rest/services/timeline",
     "OWM": "https://api.openweathermap.org/data/2.5/forecast/daily",
 }
-
-MAPPING_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FieldMap:
-    keys: tuple          # the dotted path, split
-    convert: Callable    # a float in the declared unit -> canonical
-    optional: bool = False
-
-
-@dataclass(frozen=True)
-class ProviderMapping:
-    """How to pull canonical fields out of one provider's payload, compiled at load.
-
-    `parse_date(raw, local-time shift)` gives a target date ordinal; entry
-    keys outside `consumed` ride along as `extras`.
-    """
-
-    provider: str
-    list_path: tuple
-    target_date_path: tuple
-    parse_date: Callable
-    fields: dict         # canonical field name -> FieldMap
-    consumed: frozenset
-
-
-_DATE_PARSERS = {  # (raw target date, local-time shift) -> date ordinal
-    "iso": lambda raw, shift: dt.date.fromisoformat(str(raw)[:10]).toordinal(),
-    "epoch": lambda raw, shift: (dt.datetime.fromtimestamp(float(raw), tz=dt.timezone.utc)
-                                 + shift).date().toordinal(),
-}
-# what skips one payload entry with a warning
-_ENTRY_ERRORS = (ProviderSchemaError, RangeError, ValueError, TypeError, OverflowError)
-# the exact types a payload field may hold: a bool or a numeric string is no number
-_NUMBER_OR_NULL = (int, float, type(None))
-
-
-def _mapping_from_dict(doc: dict) -> ProviderMapping:
-    if doc.get("format_version") != MAPPING_FORMAT_VERSION:
-        raise ProviderSchemaError(
-            f"mapping format_version {doc.get('format_version')!r} unsupported")
-    kind, unknown = doc["target_date"]["kind"], set(doc["fields"]) - set(FORECAST_FIELDS)
-    if doc["provider"] not in PROVIDERS or kind not in _DATE_PARSERS or unknown:
-        raise ProviderSchemaError(f"mapping has an unknown provider, date kind or field: "
-                                  f"{doc['provider']!r}, {kind!r}, {sorted(unknown)}")
-    fields = {name: FieldMap(tuple(spec["path"].split(".")),
-                             units.converter(units.FIELD_QUANTITY[name], spec["unit"]),
-                             bool(spec.get("optional", False)))
-              for name, spec in doc["fields"].items()}
-    date_keys = tuple(doc["target_date"]["path"].split("."))
-    return ProviderMapping(doc["provider"], tuple(doc["list_path"].split(".")), date_keys,
-                           _DATE_PARSERS[kind], fields,
-                           frozenset([date_keys[0], *(fm.keys[0] for fm in fields.values())]))
-
-
-def load_provider_mapping(provider: str, path=None) -> ProviderMapping:
-    """Load the bundled mapping for a provider, or a mapping file override."""
-    if path is not None:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    else:
-        if provider not in PROVIDERS:
-            raise RangeError(f"unknown provider {provider!r}")
-        ref = resources.files("etoforge").joinpath(f"provider_maps/{provider.lower()}.json")
-        doc = json.loads(ref.read_text(encoding="utf-8"))
-    return _mapping_from_dict(doc)
 
 
 class ForecastCache:
@@ -158,87 +83,6 @@ class ForecastCache:
                 os.unlink(tmp)
             raise
         return p
-
-
-def _walk(node, keys):
-    """The value at `keys` under `node`, None where the path breaks."""
-    for key in keys:
-        if not isinstance(node, dict):
-            return None
-        node = node.get(key)
-    return node
-
-
-def tz_shift(tz_offset_hours: float) -> dt.timedelta:
-    """A payload's local-time offset as a timedelta; RangeError unless within +/- 24 hours."""
-    if not -24.0 <= tz_offset_hours <= 24.0:
-        raise RangeError(f"tz_offset_hours={tz_offset_hours} outside +/- 24 hours")
-    return dt.timedelta(hours=tz_offset_hours)
-
-
-def normalize_payload(body: str, issue_date: dt.date, mapping: ProviderMapping,
-                      tz_offset_hours: float = 0.0) -> ForecastTable:
-    """Turn one raw response body into a ForecastTable of canonical records.
-
-    A body that is not JSON or has no entry list raises ProviderSchemaError
-    naming the provider and issue date. Entries whose horizon falls outside
-    0..MAX_HORIZON are dropped silently (providers may include the previous
-    local day); any other entry a ForecastRecord would reject, or with a value
-    that is not a JSON number (a boolean or numeric string included) or not one
-    a float holds, is skipped with a warning.
-    Unmapped entry keys are kept as `extras` JSON text; the table's `skipped` counts
-    the skipped entries. A `tz_offset_hours` not within +/- 24 hours raises RangeError.
-    """
-    try:
-        doc = json.loads(body)
-    except ValueError as exc:
-        raise ProviderSchemaError(
-            f"payload is not JSON ({mapping.provider} issued {issue_date}): {exc}") from exc
-    entries = _walk(doc, mapping.list_path)
-    if not isinstance(entries, list):
-        raise ProviderSchemaError(
-            f"payload has no list at {'.'.join(mapping.list_path)!r} "
-            f"({mapping.provider} issued {issue_date})")
-    shift, issued = tz_shift(tz_offset_hours), issue_date.toordinal()
-    target, extras, columns = [], [], {name: [] for name in FORECAST_FIELDS}
-    skipped = 0
-    for entry in entries:
-        try:
-            raw = _walk(entry, mapping.target_date_path)
-            if raw is None:
-                raise ProviderSchemaError(
-                    f"entry lacks target date at {'.'.join(mapping.target_date_path)!r}")
-            day = mapping.parse_date(raw, shift)
-            if not 0 <= day - issued <= MAX_HORIZON:
-                continue
-            values = {}
-            for name, fm in mapping.fields.items():
-                raw = _walk(entry, fm.keys)
-                if raw is None and not fm.optional:
-                    raise ProviderSchemaError(
-                        f"{mapping.provider} {issue_date}->{dt.date.fromordinal(day)}: "
-                        f"missing {'.'.join(fm.keys)!r}")
-                if type(raw) not in _NUMBER_OR_NULL:
-                    raise TypeError(f"{'.'.join(fm.keys)!r}={raw!r} is not a number")
-                values[name] = None if raw is None else fm.convert(float(raw))
-            check_forecast_values(**values)
-        except _ENTRY_ERRORS as exc:
-            log.warning("skipping %s entry issued %s: %s", mapping.provider, issue_date, exc)
-            skipped += 1
-            continue
-        target.append(day)
-        for name, column in columns.items():
-            column.append(values.get(name))
-        extras.append(sorted_json({k: v for k, v in entry.items() if k not in mapping.consumed}))
-    x = np.array(list(columns.values()), dtype=np.float64)   # absent (None) -> NaN
-    held = ~np.isnan(x)   # a kept value is finite, so NaN only marks an absent one
-    table = ForecastTable(np.full(len(target), PROVIDERS.index(mapping.provider)),
-                          np.array(target, dtype=np.int64), np.full(len(target), issued),
-                          dict(zip(FORECAST_FIELDS, np.where(held, x, 0.0))),
-                          dict(zip(FORECAST_FIELDS, held)),
-                          np.array(extras, dtype=object))
-    table.skipped = skipped
-    return table
 
 
 _STORE_LINE = ('{"extras": %s, "issue_date": "%s", "precip": %s, "provider": "%s", '
@@ -332,10 +176,6 @@ def _line_ends(data: bytes) -> np.ndarray:
     return np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1
 
 
-_COLUMN_KEYS = ("store_sha256", "provider", "target", "issue", "values", "present",
-                "extras", "extras_index")
-
-
 def records_to_npz(records, store_sha256: bytes, **members) -> bytes:
     """The column sidecar of the store `records_to_jsonl(records)`, its SHA-256 `store_sha256`.
 
@@ -378,19 +218,21 @@ def records_from_npz(path, store_sha256: bytes) -> ForecastTable | None:
     other values that pass these checks is read.
     """
     try:
-        with zipfile.ZipFile(path) as archive:
-            member = {key: np.lib.format.read_array(
-                io.BytesIO(archive.read(key + ".npy")), allow_pickle=False)
-                for key in _COLUMN_KEYS}
-        texts = json.loads(member["extras"].tobytes().decode("utf-8"))
-        extras = [json.loads(text) for text in texts]
+        with np.load(path) as archive:
+            return _sidecar_table(archive, store_sha256)
     except Exception:  # any unreadable sidecar only means the store text is parsed
         return None
-    provider, target, issue, index = (member[key] for key in
+
+
+def _sidecar_table(archive, store_sha256) -> ForecastTable | None:
+    """:func:`records_from_npz` of the open sidecar `archive`; raises where it does not read."""
+    texts = json.loads(archive["extras"].tobytes().decode("utf-8"))
+    extras = [json.loads(text) for text in texts]
+    provider, target, issue, index = (archive[key] for key in
                                       ("provider", "target", "issue", "extras_index"))
-    columns = (member["values"], member["present"])
+    columns = (archive["values"], archive["present"])
     n = target.size
-    if (member["store_sha256"].tobytes() != store_sha256
+    if (archive["store_sha256"].tobytes() != store_sha256
             or any(a.dtype != np.int64 or a.shape != (n,)
                    for a in (provider, target, issue, index))
             or [a.dtype for a in columns] != [np.float64, np.bool_]
@@ -402,7 +244,7 @@ def records_from_npz(path, store_sha256: bytes) -> ForecastTable | None:
         return None
     values, present = (dict(zip(FORECAST_FIELDS, a)) for a in columns)
     if rejected_rows(provider, target - issue, values, present).any() \
-            or (member["values"][~member["present"]] != 0.0).any():
+            or (columns[0][~columns[1]] != 0.0).any():
         return None
     return ForecastTable(provider, target, issue, values, present,
                          np.array(texts, dtype=object)[index])
@@ -502,41 +344,34 @@ def _fetch_one(provider, site, issue_date, credentials, cache, http_get):
 
 
 class PayloadMemo:
-    """Payload rows to reuse: `digests` maps (provider code, issue ordinal) to the key
-    (SHA-256 of :func:`_payload_context` and the text) of the payload whose rows the
-    tables in `rows` hold. :func:`fetch_forecasts` records this run's: in `clean` the
-    key of each payload whose normalization skipped no entry, in `spill` their rows
-    outside the date range."""
+    """The column sidecar at `path`, read once: what :func:`fetch_forecasts` may reuse.
 
-    def __init__(self):
-        self.digests, self.rows, self.clean, self.spill = {}, [], {}, []
+    `named` is the store digest the sidecar names; `stored` its table if
+    :func:`records_from_npz` accepts it for that digest, else no rows. `digests` maps
+    each (provider code, issue ordinal) of `payloads` (int64, (n, 2)) to its key in
+    `payload_sha256` (uint8, (n, 32)), the SHA-256 of :func:`_payload_context` and the
+    payload's text; `stored` holds all their rows inside its target dates. Keys of
+    other dtypes or shapes, or without rows, are left out. Never raises. `clean` gets
+    the key of each payload the ingest reads whose normalization skipped no entry.
+    """
 
-    @classmethod
-    def read(cls, path, stored, store_sha256: bytes) -> "PayloadMemo":
-        """The memo at `path` with the rows of `stored`, the column sidecar's table of
-        the store of SHA-256 `store_sha256`; empty unless `stored` is a table and the
-        memo is valid (:func:`records_from_npz`) for that store. Never raises."""
-        memo = cls()
-        if stored is None:
-            return memo
-        try:
-            with np.load(path) as member:
-                digests = dict(zip(map(tuple, member["payloads"].tolist()),
-                                   map(bytes, member["payload_sha256"])))
-        except Exception:  # any unreadable memo only means every payload is normalized
-            return memo
-        spill = records_from_npz(path, store_sha256)
-        if spill is not None:
-            memo.digests, memo.rows = digests, [stored, spill]
-        return memo
+    def __init__(self, path):
+        self.named, self.stored, self.digests, self.clean = None, ForecastTable.concat([]), {}, {}
+        # an unreadable sidecar, table or key member leaves out what it would give
+        with contextlib.suppress(Exception), np.load(path) as archive:
+            self.named = archive["store_sha256"].tobytes()
+            self.stored = _sidecar_table(archive, self.named) or self.stored
+            days, sha = archive["payloads"], archive["payload_sha256"]
+            if (len(self.stored) and (days.dtype, sha.dtype) == (np.int64, np.uint8)
+                    and days.shape[1:] == (2,) and sha.shape == (len(days), 32)):
+                self.digests = dict(zip(map(tuple, days.tolist()), map(bytes, sha)))
 
-    def to_npz(self, store_sha256: bytes) -> bytes:
-        """This run's memo, beside the store of SHA-256 `store_sha256`: `spill` and `clean`."""
+    def members(self) -> dict:
+        """`clean` as the sidecar's `payloads` and `payload_sha256` members."""
         keys = sorted(self.clean)
-        return records_to_npz(
-            ForecastTable.concat(self.spill), store_sha256,
-            payloads=np.array(keys, dtype=np.int64).reshape(-1, 2),
-            payload_sha256=np.array([list(self.clean[k]) for k in keys], np.uint8).reshape(-1, 32))
+        return {"payloads": np.array(keys, dtype=np.int64).reshape(-1, 2),
+                "payload_sha256": np.array([list(self.clean[k]) for k in keys],
+                                           np.uint8).reshape(-1, 32)}
 
 
 def _payload_context(tz_offset_hours: float) -> bytes:
@@ -544,7 +379,7 @@ def _payload_context(tz_offset_hours: float) -> bytes:
     from .. import __version__
     context = hashlib.sha256(repr((float(tz_offset_hours), __version__)).encode("utf-8"))
     maps = resources.files("etoforge").joinpath("provider_maps")
-    for source in (Path(__file__), Path(records.__file__), Path(units.__file__),
+    for source in (Path(normalize.__file__), Path(records.__file__), Path(units.__file__),
                    *(maps.joinpath(f"{provider.lower()}.json") for provider in PROVIDERS)):
         context.update(source.read_bytes())
     return context.digest()
@@ -562,8 +397,9 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     payload is replayed from the cache when it is there; otherwise it is
     skipped in offline mode, and in online mode fetched and cached
     verbatim before normalization. Offline, CacheMiss is raised only when
-    the whole issue-date window has nothing to replay. The rows `memo` (a
-    :class:`PayloadMemo`) holds for a payload's key are reused, not normalized.
+    the whole issue-date window has nothing to replay. A payload whose key `memo`
+    (a :class:`PayloadMemo`) holds is not normalized when the days it gives rows for
+    inside `date_range` lie within `memo.stored`'s target dates: its rows come from there.
     """
     if provider not in PROVIDERS:
         raise RangeError(f"unknown provider {provider!r}; expected one of {PROVIDERS}")
@@ -581,7 +417,7 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
             raise AuthError(
                 f"online mode needs credentials ({ENV_KEYS[provider]} unset)")
         http_get = http_get or _default_http_get
-    code, memo = PROVIDERS.index(provider), memo or PayloadMemo()
+    code, memo = PROVIDERS.index(provider), memo or PayloadMemo(None)
     context = _payload_context(tz_offset_hours)
 
     first_issue = start - dt.timedelta(days=MAX_HORIZON)
@@ -603,15 +439,17 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     # the same process by about 8 MB (1,460 synthetic days).
     keys = {issued: hashlib.sha256(context + body.encode("utf-8")).digest()
             for issued, body in bodies.items()}
-    fresh = {issued: normalize_payload(body, issued, mapping, tz_offset_hours) for issued, body
-             in bodies.items() if memo.digests.get((code, issued.toordinal())) != keys[issued]}
+    first, last, stored = start.toordinal(), end.toordinal(), memo.stored
+    low, high = (stored.target.min(), stored.target.max()) if len(stored) else (1, 0)
+    # a payload issued on `day` gives rows for day..day + MAX_HORIZON only
+    fresh = {issued: normalize_payload(body, issued, mapping, tz_offset_hours)
+             for issued, body in bodies.items()
+             if memo.digests.get((code, day := issued.toordinal())) != keys[issued]
+             or not low <= max(day, first) <= min(day + MAX_HORIZON, last) <= high}
     reused = [issued.toordinal() for issued in bodies if issued not in fresh]
-    table = ForecastTable.concat([*fresh.values(), *(rows.take(np.flatnonzero(
-        (rows.provider == code) & np.isin(rows.issue, reused))) for rows in memo.rows)])
-    clean = {issued.toordinal(): keys[issued] for issued in bodies
-             if issued not in fresh or not fresh[issued].skipped}
-    memo.clean.update(((code, day), key) for day, key in clean.items())
-    inside = (table.target >= start.toordinal()) & (table.target <= end.toordinal())
-    memo.spill.append(table.take(np.flatnonzero(~inside & np.isin(table.issue, list(clean)))))
-    rows = np.flatnonzero(inside)
+    table = ForecastTable.concat([*fresh.values(), stored.take(np.flatnonzero(
+        (stored.provider == code) & np.isin(stored.issue, reused)))])
+    memo.clean.update(((code, issued.toordinal()), keys[issued]) for issued in bodies
+                      if issued not in fresh or not fresh[issued].skipped)
+    rows = np.flatnonzero((table.target >= first) & (table.target <= last))
     return table.take(rows[np.lexsort((table.horizon[rows], table.target[rows]))])

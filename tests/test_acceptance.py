@@ -197,7 +197,7 @@ def test_criterion_8_pipeline_determinism(tmp_path, synth):
 
     assert set(outputs["first"]) == set(outputs["second"])
     expected = {"observations.csv", "observations.schema", "forecasts.jsonl",
-                "forecasts.npz", "forecast_payloads.npz", "model_et0.json",
+                "forecasts.npz", "model_et0.json",
                 "model_sr.json", "sweep.csv", "fidelity.csv", "distributions.csv",
                 "usable_horizons.csv", "manifest.json"}
     assert {str(p) for p in outputs["first"]} == expected

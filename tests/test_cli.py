@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ from etoforge import cli, evalkit, regressor
 from etoforge.cli import main
 from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
                                 write_synthetic_cache)
-from etoforge.weather import (ForecastTable, providers, records_from_jsonl, records_from_npz,
-                              records_to_jsonl, records_to_npz, serialize_ws_csv,
-                              store_chunks, ws_schema_text)
+from etoforge.weather import (MAX_HORIZON, ForecastTable, providers, records_from_jsonl,
+                              records_from_npz, records_to_jsonl, records_to_npz,
+                              serialize_ws_csv, store_chunks, ws_schema_text)
 from etoforge.weather.records import as_table
 
 from .test_pipelines import _polar_night, _zero_model
@@ -747,60 +748,99 @@ def _ingest_outputs(ws, root, capsys, monkeypatch, *options):
 
 
 def _cold_copy(ws, root, edit=None):
-    """A copy of `ws` at `root` without its payload memo, after `edit(root)`."""
+    """A copy of `ws` at `root` without its column sidecar, after `edit(root)`."""
     shutil.copytree(ws["root"], root)
-    (root / "out" / cli.FORECAST_PAYLOADS).unlink()
+    (root / "out" / cli.FORECAST_COLUMNS).unlink()
     if edit is not None:
         edit(root)
 
 
-def _on_memo(fault):
-    """`fault` as a memo fault: applied to the memo of the workspace copy at `root`."""
-    return lambda ws, root: fault(root / "out" / cli.FORECAST_PAYLOADS)
+def _on_sidecar(fault):
+    """`fault` applied to the column sidecar of the workspace copy at `root`."""
+    return lambda ws, root: fault(root / "out" / cli.FORECAST_COLUMNS)
 
 
 def _other_tz(ws, root):
-    """The memo, store and sidecar of an ingest under another local-time offset,
-    under which the OWM payloads give other target dates."""
+    """The store and sidecar of an ingest under another local-time offset, under
+    which the OWM payloads give other target dates."""
     store = (root / "out" / "forecasts.jsonl").read_bytes()
     assert _run_in_copy(ws, root, INGEST + ["--set", "tz_offset_hours=13"]) == 0
     assert (root / "out" / "forecasts.jsonl").read_bytes() != store
     yield
 
 
+def _bad_keys(path):
+    """The sidecar with broken payload keys, one way after another: a key member
+    failing its CRC check, of another dtype or shape, or left out. Its table stays
+    valid for the store."""
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("payloads.npy")
+    # a byte past the member's local header (30 bytes, its name, its extra field) and
+    # its .npy header
+    at = info.header_offset + 30 + len(info.filename) + len(info.extra) + 200
+    path.write_bytes(data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:])
+    yield
+    path.write_bytes(data)
+    with np.load(path) as archive:
+        keys = {name: archive[name] for name in ("payloads", "payload_sha256")}
+    days, sha = keys.values()
+    for broken in ({"payloads": days.astype(np.int32)}, {"payload_sha256": sha.astype(np.int64)},
+                   {"payloads": days.T.copy()}, {"payload_sha256": sha[:-1]},
+                   {"payloads": days.ravel()}, {"payloads": None}, {"payload_sha256": None}):
+        def edit(members, broken=broken):
+            members.update(keys, **broken)
+            for name in [name for name, value in broken.items() if value is None]:
+                del members[name]
+        _repacked(path, edit)
+        yield
+
+
 @_once
 def _other_store(path):
-    """The memo re-packed to name another store than the sidecar beside it does."""
+    """The sidecar re-packed to name another store than the one beside it."""
     _repacked(path, lambda members: members.update(store_sha256=np.frombuffer(
         hashlib.sha256(b"another store").digest(), dtype=np.uint8)))
 
 
-MEMO_FAULTS = {
-    "truncated": _on_memo(_once(_truncate)),
-    "crc": _on_memo(_flip_bytes),
-    "garbage": _on_memo(SIDECAR_FAULTS["random-bytes"]),
-    "empty": _on_memo(SIDECAR_FAULTS["empty"]),
+PAYLOAD_KEY_FAULTS = {
+    "truncated": _on_sidecar(_once(_truncate)),
+    "crc": _on_sidecar(_flip_bytes),
+    "garbage": _on_sidecar(SIDECAR_FAULTS["random-bytes"]),
+    "empty": _on_sidecar(SIDECAR_FAULTS["empty"]),
     "other-tz": _other_tz,
-    "other-store": _on_memo(_other_store),
-    "no-sidecar": _on_memo(_once(lambda path: (path.parent / cli.FORECAST_COLUMNS).unlink())),
+    "bad-keys": _on_sidecar(_bad_keys),
+    "other-store": _on_sidecar(_other_store),
+    "no-sidecar": _on_sidecar(SIDECAR_FAULTS["missing"]),
 }
 
 
-@pytest.mark.parametrize("fault", MEMO_FAULTS)
+@pytest.mark.parametrize("fault", PAYLOAD_KEY_FAULTS)
 def test_payload_memo_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch, fault):
-    """The payload-memo rows of the fault matrix: a broken, stale or orphaned memo
-    is never an error; `ingest forecast` then normalizes every payload and gives
-    the exit code, output and `out/` bytes of a run without a memo."""
+    """The payload-key rows of the fault matrix: a missing or broken sidecar, one
+    written under another offset, one naming another store, or one whose payload keys
+    are broken but whose table is valid is never an error; `ingest forecast` gives
+    the exit code, output and `out/` bytes of a run without a sidecar, and normalizes
+    every payload unless the sidecar's table and keys are intact. Broken keys beside
+    a valid table leave the table in use: the unchanged store is not formatted. A
+    sidecar naming another store keeps its table and keys, so no payload is
+    normalized, but the store on disk is formatted again."""
     _cold_copy(payload_ws, tmp_path / "base")
     expected = _ingest_outputs(payload_ws, tmp_path / "base", capsys, monkeypatch)
     assert expected[0] == 0 and expected[4], expected[2]
     root = tmp_path / "ws"
     shutil.copytree(payload_ws["root"], root)
-    for _ in MEMO_FAULTS[fault](payload_ws, root):
+    calls = _formatting(monkeypatch)
+    for _ in PAYLOAD_KEY_FAULTS[fault](payload_ws, root):
+        calls.clear()
         got = _ingest_outputs(payload_ws, root, capsys, monkeypatch)
         assert got[:4] == expected[:4]
-        if fault != "crc":   # a flip in a field the zip reader ignores leaves the memo valid
+        if fault == "other-store":
+            assert got[4] == [] and calls
+        elif fault != "crc":   # a flip in a field the zip reader ignores leaves the sidecar valid
             assert got[4] == expected[4]
+        if fault == "bad-keys":
+            assert calls == []
 
 
 def _edit_payload(provider, issued, edit):
@@ -816,7 +856,7 @@ def _edit_payload(provider, issued, edit):
 def test_warm_ingest_normalizes_only_the_changed_payload(payload_ws, tmp_path, capsys,
                                                          monkeypatch):
     """A warm `ingest forecast` after one cached payload changed normalizes that
-    payload alone, and writes the bytes a run without a memo writes."""
+    payload alone, and writes the bytes a run without a sidecar writes."""
     issued = payload_ws["issued"]
     edit = _edit_payload("vc", issued, lambda days: days[1].update(tempmax=days[1]["tempmax"] + 1))
     _cold_copy(payload_ws, tmp_path / "cold", edit)
@@ -834,8 +874,9 @@ def test_warm_ingest_normalizes_only_the_changed_payload(payload_ws, tmp_path, c
 def test_warm_ingest_of_a_later_end_date_gives_the_cold_bytes(payload_ws, tmp_path, capsys,
                                                               monkeypatch):
     """After an ingest up to the day before, an ingest up to the last observed day
-    normalizes only that day's payloads, takes the rows the old payloads hold for
-    it from the memo, and writes the bytes a run without a memo writes."""
+    normalizes again the payloads with rows on that day, the 16 per provider issued
+    on it or up to 15 days before, reuses the others and writes the bytes a run
+    without a sidecar writes."""
     _cold_copy(payload_ws, tmp_path / "cold")
     expected = _ingest_outputs(payload_ws, tmp_path / "cold", capsys, monkeypatch)
     last = max(issued for _, issued in expected[4])
@@ -847,13 +888,14 @@ def test_warm_ingest_of_a_later_end_date_gives_the_cold_bytes(payload_ws, tmp_pa
     assert f'"target_date": "{last}"' not in earlier[3]["forecasts.jsonl"].decode()
     got = _ingest_outputs(payload_ws, root, capsys, monkeypatch)
     assert got[:4] == expected[:4] and expected[0] == 0
-    assert got[4] == [(provider, issued) for provider, issued in expected[4] if issued == last]
-    assert len(got[4]) == 2
+    reaching = last - dt.timedelta(days=MAX_HORIZON)
+    assert got[4] == [(provider, issued) for provider, issued in expected[4] if issued >= reaching]
+    assert len(got[4]) == 32
 
 
 def test_skip_warnings_replay_on_a_warm_ingest(payload_ws, tmp_path):
-    """A payload that had an entry skipped is not memoized: a warm run prints the
-    cold run's warnings and writes its bytes, and the memo is the same after both."""
+    """A payload that had an entry skipped gets no key in the sidecar: a warm run
+    prints the cold run's warnings and writes its bytes, the sidecar's included."""
     root = tmp_path / "ws"
     _cold_copy(payload_ws, root, _edit_payload(
         "owm", payload_ws["issued"], lambda days: days[0]["temp"].update(max="hot")))
@@ -864,22 +906,27 @@ def test_skip_warnings_replay_on_a_warm_ingest(payload_ws, tmp_path):
     assert runs[0] == runs[1] and runs[0][0] == 0
     (warning,) = runs[0][2].splitlines()
     assert warning.startswith(f"skipping OWM entry issued {payload_ws['issued']}: ")
-    with np.load(root / "out" / cli.FORECAST_PAYLOADS) as memo:
-        keys = memo["payloads"].tolist()
+    with np.load(root / "out" / cli.FORECAST_COLUMNS) as sidecar:
+        keys = sidecar["payloads"].tolist()
     skipped = [1, dt.date.fromisoformat(payload_ws["issued"]).toordinal()]
     assert skipped not in keys and [0, skipped[1]] in keys
 
 
 def test_payload_memo_is_the_same_after_a_cold_and_a_warm_ingest(payload_ws, tmp_path):
-    """The memo is a function of the payloads read: a cold and a warm run write its bytes."""
+    """The payload keys are a function of the payloads read: a cold and a warm run
+    write the same sidecar bytes, with a key for each payload."""
     root = tmp_path / "ws"
     _cold_copy(payload_ws, root)
-    memos = []
+    sidecars = []
     for _ in range(2):
         assert _run_in_copy(payload_ws, root, INGEST) == 0
-        memos.append((root / "out" / cli.FORECAST_PAYLOADS).read_bytes())
-    assert memos[0] == memos[1]
-    assert memos[0] == (payload_ws["root"] / "out" / cli.FORECAST_PAYLOADS).read_bytes()
+        sidecars.append((root / "out" / cli.FORECAST_COLUMNS).read_bytes())
+    assert sidecars[0] == sidecars[1]
+    assert sidecars[0] == (payload_ws["root"] / "out" / cli.FORECAST_COLUMNS).read_bytes()
+    with np.load(root / "out" / cli.FORECAST_COLUMNS) as sidecar:
+        keys, digests = sidecar["payloads"], sidecar["payload_sha256"]
+    payloads = sorted((root / "cache").rglob("*.json"))
+    assert keys.shape == (len(payloads), 2) and digests.shape == (len(payloads), 32)
 
 
 def test_a_repeated_provider_leaves_no_memo_to_reuse(payload_ws, tmp_path, capsys, monkeypatch):
@@ -924,14 +971,16 @@ def _store_bytes_hashed(monkeypatch, store: bytes):
     return lambda: sum(h.size for h in hashers if h.digest() == want)
 
 
-@pytest.mark.parametrize("memo", [True, False], ids=["warm", "cold"])
-def test_ingest_forecast_hashes_the_store_once(payload_ws, tmp_path, monkeypatch, memo):
-    """`ingest forecast` over unchanged payloads hashes the store once: the bytes
-    on disk, which it keeps, for the sidecar, the memo and the manifest."""
+@pytest.mark.parametrize("keys", [True, False], ids=["warm", "cold"])
+def test_ingest_forecast_hashes_the_store_once(payload_ws, tmp_path, monkeypatch, keys):
+    """`ingest forecast` over unchanged payloads, reused or (without payload keys in
+    the sidecar) all normalized, hashes the store once: the bytes on disk, which it
+    keeps, for the sidecar and the manifest."""
     root = tmp_path / "ws"
     shutil.copytree(payload_ws["root"], root)
-    if not memo:
-        (root / "out" / cli.FORECAST_PAYLOADS).unlink()
+    if not keys:
+        _repacked(root / "out" / cli.FORECAST_COLUMNS,
+                  lambda members: [members.pop("payloads"), members.pop("payload_sha256")])
     store = (root / "out" / "forecasts.jsonl").read_bytes()
     hashed = _store_bytes_hashed(monkeypatch, store)
     assert _run_in_copy(payload_ws, root, INGEST) == 0
@@ -953,7 +1002,10 @@ def test_store_reuse_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch,
     """The store-reuse rows of the fault matrix: after a broken store (its sidecar
     kept or deleted) or a broken sidecar beside a valid store, a warm `ingest
     forecast` gives the exit code, output and `out/` bytes of a run whose store and
-    sidecar were deleted first. A broken store is written again, never kept."""
+    sidecar were deleted first. A broken store is written again, never kept. A kept
+    sidecar names another store than the one on disk, but its table and payload
+    keys are still its own, so no payload is normalized; without a valid sidecar
+    every payload is."""
     base = tmp_path / "base"
     shutil.copytree(payload_ws["root"], base)
     for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS):
@@ -971,7 +1023,10 @@ def test_store_reuse_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch,
     else:
         faults = SIDECAR_FAULTS[fault](root / "out" / cli.FORECAST_COLUMNS)
     for _ in faults:
-        assert _ingest_outputs(payload_ws, root, capsys, monkeypatch)[:4] == expected[:4]
+        got = _ingest_outputs(payload_ws, root, capsys, monkeypatch)
+        assert got[:4] == expected[:4]
+        if fault != "flipped-bytes":   # a flip in a field the zip reader ignores
+            assert got[4] == ([] if sidecar == "sidecar" else expected[4])
 
 
 def _formatting(monkeypatch):
@@ -1085,6 +1140,19 @@ def test_a_write_cut_part_way_leaves_the_old_files(small_ws, tmp_path, monkeypat
     assert _file_bytes(root / "out") == before
 
 
+def test_manifest_leaves_out_a_killed_write_s_part_file(small_ws, tmp_path):
+    """A part file left by a write that was killed (SIGKILL skips its clean-up) is not
+    listed by the next command's manifest; other files, `.part` or not, are."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    (root / "out" / ".distributions.csv.part").write_bytes(b"criterion,")
+    (root / "out" / "notes.part").write_bytes(b"kept\n")
+    assert _run_in_copy(small_ws, root, ["ingest", "ws"]) == 0
+    files = json.loads((root / "out" / "manifest.json").read_text())["files"]
+    assert ".distributions.csv.part" not in files
+    assert {"notes.part", cli.OBS_STORE, cli.FORECAST_STORE} <= set(files)
+
+
 def test_unchanged_warm_ingest_formats_no_store(payload_ws, tmp_path, capsys, monkeypatch):
     """A warm `ingest forecast` over unchanged payloads normalizes none, formats no
     store text and leaves every `out/` file as it was."""
@@ -1118,7 +1186,7 @@ def test_changed_rows_format_only_their_lines(payload_ws, tmp_path, capsys, monk
     """A warm `ingest forecast` whose rows differ from the sidecar's, in one value, its
     date range, one entry's extras alone or the sign of a zero, formats in one call
     only the lines the store on disk lacks, copies the others, and writes the bytes
-    of a run without a store, sidecar or memo."""
+    of a run without a store or sidecar."""
     issued = payload_ws["issued"]
     last = max(json.loads(line)["target_date"] for line in
                (payload_ws["root"] / "out" / cli.FORECAST_STORE).read_text().splitlines())
@@ -1131,7 +1199,7 @@ def test_changed_rows_format_only_their_lines(payload_ws, tmp_path, capsys, monk
     for edit, _ in runs:
         if edit:
             edit(cold)
-    for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS, cli.FORECAST_PAYLOADS):
+    for name in (cli.FORECAST_STORE, cli.FORECAST_COLUMNS):
         (cold / "out" / name).unlink()
     expected = _ingest_outputs(payload_ws, cold, capsys, monkeypatch, *runs[-1][1])
     assert expected[0] == 0, expected[2]

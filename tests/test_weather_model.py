@@ -2,6 +2,7 @@
 
 import datetime as dt
 import gc
+import hashlib
 import io
 import json
 import warnings
@@ -547,7 +548,7 @@ def test_from_json_names_a_provider_code_out_of_range(code):
 
 
 def test_mapping_is_compiled_at_load():
-    from etoforge.weather.providers import _mapping_from_dict
+    from etoforge.weather.normalize import _mapping_from_dict
 
     doc = json.loads((_MAPS / "vc.json").read_text())
     mapping = _mapping_from_dict(doc)
@@ -573,6 +574,20 @@ def test_owm_epoch_dates_respect_tz_offset():
     east = normalize_payload(body, D(2022, 6, 2), mapping, tz_offset_hours=2.0)
     assert west[0].target_date == D(2022, 6, 1)
     assert east[0].target_date == D(2022, 6, 2)
+
+
+def test_payload_keys_hash_the_normalizing_sources_only():
+    """The context of a payload's key covers the offset, the package version and the
+    sources the rows depend on: the normalizing module, `records`, `units` and the
+    bundled mappings. The fetch, cache and store code (`providers`) is not among them."""
+    import etoforge
+    from etoforge.weather import normalize, records
+    maps = Path(etoforge.__file__).parent / "provider_maps"
+    sources = [Path(normalize.__file__), Path(records.__file__), Path(units.__file__),
+               maps / "vc.json", maps / "owm.json"]
+    text = repr((2.5, etoforge.__version__)).encode() + b"".join(p.read_bytes() for p in sources)
+    assert providers._payload_context(2.5) == hashlib.sha256(text).digest()
+    assert providers._payload_context(2.5) != providers._payload_context(-2.5)
 
 
 @pytest.mark.parametrize("offset", [float("nan"), float("inf"), 1e20, 100.0, -24.5])
