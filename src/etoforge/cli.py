@@ -166,7 +166,7 @@ def cmd_ingest_ws(cfg) -> int:
     observations = _parse_station_csv(cfg.ws_csv, schema)
     _write(cfg.out_dir, OBS_STORE, serialize_ws_csv(observations))
     _write(cfg.out_dir, OBS_SCHEMA, ws_schema_text())
-    first, last = observations[0].date, observations[-1].date
+    first, last = observations.dates[0], observations.dates[-1]
     gaps = (last - first).days + 1 - len(observations)
     print(f"{len(observations)} observations ({first} .. {last}), "
           f"{gaps} gap day(s) dropped-and-reported, never interpolated")
@@ -184,8 +184,8 @@ def cmd_ingest_forecast(cfg) -> int:
         store = cfg.out_dir / OBS_STORE
         if store.is_file():
             observations = _load_observations(cfg)
-            start = start or observations[0].date
-            end = end or observations[-1].date
+            start = start or observations.dates[0]
+            end = end or observations.dates[-1]
         else:
             raise ConfigError("start_date/end_date not configured and no "
                               "ingested observations to take the range from")
@@ -271,7 +271,7 @@ def cmd_predict(cfg, estimator: str, source: str, horizon) -> int:
     known = []
     if source == "ws":
         records = _load_observations(cfg)
-        keys = [(obs.date, "WS", None) for obs in records]
+        keys = [(day, "WS", None) for day in records.dates]
         wind_height = None
     else:
         provider = source.upper()

@@ -11,6 +11,10 @@ class MissingColumn(EtoforgeError):
     """A schema-mapped column header is absent from the CSV file."""
 
 
+class DuplicateColumn(EtoforgeError):
+    """A schema-mapped column header appears more than once in the CSV file."""
+
+
 class UnitError(EtoforgeError):
     """A column has no declared unit, or the declared unit is unknown."""
 

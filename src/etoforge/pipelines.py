@@ -26,8 +26,7 @@ from . import fao56
 from .errors import (DomainError, EtoforgeError, FeatureMismatch, MissingField,
                      RangeError)
 from .regressor import MlpModel, predict_batch
-from .weather.records import (DayTable, ForecastRecord, ForecastTable, ObservationTable,
-                              SiteMetadata, by_date)
+from .weather.records import ForecastRecord, ForecastTable, SiteMetadata, as_table, by_date
 
 FEATURE_NAMES = ("temp_max", "temp_min", "rh_avg", "wind_avg",
                  "doy_sin", "doy_cos", "ra")
@@ -95,17 +94,6 @@ class ModelBundle:
     sr_model: object = None
 
 
-def _read_once(records):
-    """`records` as columns read once: a table as it is, a list of forecast
-    records as a ForecastTable, of observations as an ObservationTable, in input order."""
-    if isinstance(records, DayTable):
-        return records
-    records = list(records)
-    if records and all(isinstance(r, ForecastRecord) for r in records):
-        return ForecastTable.from_records(records)
-    return ObservationTable(records)
-
-
 def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
     """Feature rows for many records: (matrix, dates) in input order.
 
@@ -115,7 +103,7 @@ def feature_matrix(records, site: SiteMetadata, names=FEATURE_NAMES):
     calendar features use a 365.25-day period, so Dec 31 and Jan 1 land
     next to each other on the cycle.
     """
-    fields = _read_once(records)
+    fields = as_table(records)
     return _features(fields, site, names), fields.dates
 
 
@@ -161,7 +149,7 @@ def _physics_et0(records, sr_wm2, site: SiteMetadata, humidity_mode: str,
     assumption, DEFAULT_FORECAST_WIND_HEIGHT, for forecasts. A failing day
     is named by its date.
     """
-    fields = _read_once(records)
+    fields = as_table(records)
     humidity = ("rh_max", "rh_min") if humidity_mode == "extremes" else ("rh_avg",)
     columns = {name: fields.column(name)
                for name in ("temp_max", "temp_min", *humidity, "wind_avg")}
@@ -248,7 +236,7 @@ def estimate(bundle: ModelBundle, records, site: SiteMetadata,
     record would get if scored alone. Each field is read from the records
     once, and only if a model or the physics needs it.
     """
-    fields = _read_once(records)
+    fields = as_table(records)
     out = {}
     for estimator, model, target in (("ET0_ANN", bundle.et0_model, TARGET_ET0),
                                      ("SR_ANN", bundle.sr_model, TARGET_SR)):

@@ -81,6 +81,13 @@ def _require_range(name, value):
         raise RangeError(f"{name}={value} above {high}")
 
 
+OPTIONAL_FIELDS = ("sr_max", "pressure_avg")   # the observation fields that may be None
+# fields whose values may not decrease, in this order; DailyObservation checks each
+# triple once its avg, the last of the three in field order, is in range
+ORDERED_FIELDS = {"temperature": ("temp_min", "temp_avg", "temp_max"),
+                  "humidity": ("rh_min", "rh_avg", "rh_max")}
+
+
 @dataclass(frozen=True)
 class DailyObservation:
     """One calendar day of ground-truth weather-station measurements."""
@@ -99,26 +106,14 @@ class DailyObservation:
     pressure_avg: float | None = None
 
     def __post_init__(self):
-        _require_range("temp_max", self.temp_max)
-        _require_range("temp_min", self.temp_min)
-        _require_range("temp_avg", self.temp_avg)
-        if not self.temp_min <= self.temp_avg <= self.temp_max:
-            raise RangeError(
-                f"temperature ordering violated: min={self.temp_min} "
-                f"avg={self.temp_avg} max={self.temp_max}")
-        for name in ("rh_max", "rh_min", "rh_avg"):
-            _require_range(name, getattr(self, name))
-        if not self.rh_min <= self.rh_avg <= self.rh_max:
-            raise RangeError(
-                f"humidity ordering violated: min={self.rh_min} "
-                f"avg={self.rh_avg} max={self.rh_max}")
-        _require_range("wind_avg", self.wind_avg)
-        _require_range("sr_avg", self.sr_avg)
-        _require_range("precip", self.precip)
-        if self.sr_max is not None:
-            _require_range("sr_max", self.sr_max)
-        if self.pressure_avg is not None:
-            _require_range("pressure_avg", self.pressure_avg)
+        for name in OBSERVATION_FIELDS:
+            value = getattr(self, name)
+            if value is not None or name not in OPTIONAL_FIELDS:
+                _require_range(name, value)
+            for quantity, (low, avg, high) in ORDERED_FIELDS.items():
+                if name == avg and not getattr(self, low) <= value <= getattr(self, high):
+                    raise RangeError(f"{quantity} ordering violated: min={getattr(self, low)} "
+                                     f"avg={value} max={getattr(self, high)}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +201,9 @@ class DayTable:
     float64 column `values[name]` per field and the mask `present[name]` of the
     rows that carry it. `table[i]` is row i's record."""
 
+    def __init__(self, day, values, present):
+        self.day, self.values, self.present = day, values, present
+
     def __len__(self) -> int:
         return len(self.day)
 
@@ -231,31 +229,42 @@ class DayTable:
 
 
 class ObservationTable(DayTable):
-    """Observation records in the given order; each was checked by its own
-    DailyObservation. `day` holds their dates, and an absent optional field
-    reads as NaN in `values`. `table[i]` is the record itself."""
+    """Observations as columns, one row per day: `day` holds the date ordinals,
+    and an absent optional field reads as NaN in `values`, False in `present`.
+    The columns are held as checked; `table[i]` is a new DailyObservation made
+    from them."""
 
-    def __init__(self, records):
-        self.records = list(records)
-        if not all(isinstance(r, DailyObservation) for r in self.records):
+    @classmethod
+    def from_records(cls, records) -> "ObservationTable":
+        """The table of DailyObservation `records`, in their order."""
+        records = list(records)
+        if not all(isinstance(r, DailyObservation) for r in records):
             raise FeatureMismatch("observations must be DailyObservation records")
-        self.day = np.array([r.date.toordinal() for r in self.records], dtype=np.int64)
-        self.values = {name: np.array([getattr(r, name) for r in self.records], dtype=np.float64)
-                       for name in OBSERVATION_FIELDS}
-        self.present = {name: ~np.isnan(x) for name, x in self.values.items()}
+        values = {name: np.array([getattr(r, name) for r in records], dtype=np.float64)
+                  for name in OBSERVATION_FIELDS}
+        return cls(np.array([r.date.toordinal() for r in records], dtype=np.int64), values,
+                   {name: ~np.isnan(x) for name, x in values.items()})
 
     def __getitem__(self, i) -> DailyObservation:
-        return self.records[i]
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return DailyObservation(dt.date.fromordinal(int(self.day[i])),
+                                **{name: float(x[i]) if self.present[name][i] else None
+                                   for name, x in self.values.items()})
 
 
 def by_date(observations) -> ObservationTable:
     """`observations` (a table or records) as a table in ascending date order:
-    the table itself when it is in that order already."""
+    the table itself when it is in that order already. Rows of one date keep
+    their order."""
     if not isinstance(observations, ObservationTable):
-        observations = ObservationTable(observations)
+        observations = ObservationTable.from_records(observations)
     if (np.diff(observations.day) >= 0).all():
         return observations
-    return ObservationTable(sorted(observations, key=lambda o: o.date))
+    order = np.argsort(observations.day, kind="stable")
+    return ObservationTable(observations.day[order],
+                            {name: x[order] for name, x in observations.values.items()},
+                            {name: m[order] for name, m in observations.present.items()})
 
 
 class ForecastTable(DayTable):
@@ -271,12 +280,11 @@ class ForecastTable(DayTable):
     """
 
     def __init__(self, provider, target, issue, values, present, extras):
+        super().__init__(target, values, present)
         self.provider = provider
-        self.target = self.day = target
+        self.target = target
         self.issue = issue
         self.horizon = target - issue
-        self.values = values
-        self.present = present
         self.extras = extras
         self._cells = None
 
@@ -387,15 +395,24 @@ class ForecastTable(DayTable):
 
 def rejected_rows(provider, horizon, values, present) -> np.ndarray:
     """Mask of the rows whose ForecastRecord would raise, checked on whole columns:
-    an unknown provider, a horizon outside 0..MAX_HORIZON, a held value that is
-    not finite or out of range, a missing temperature, or temp_min > temp_max."""
-    bad = _unknown_provider(provider) | (horizon < 0) | (horizon > MAX_HORIZON)
-    for name in FORECAST_FIELDS:
-        x = values[name]
+    an unknown provider, a horizon outside 0..MAX_HORIZON, or a row :func:`rejected`
+    rejects with the temperatures required and temp_min not above temp_max."""
+    return (_unknown_provider(provider) | (horizon < 0) | (horizon > MAX_HORIZON)
+            | rejected(values, present, ("temp_max", "temp_min"), [("temp_min", "temp_max")]))
+
+
+def rejected(values, present, required, ordered) -> np.ndarray:
+    """Mask of the rows a record check rejects, checked on whole columns: a held value
+    that is not finite or lies outside the range of its quantity (`units.RANGE`), an
+    absent `required` field, or a decrease along one of the `ordered` tuples of fields."""
+    bad = ~np.all([present[name] for name in required], axis=0)
+    for name, x in values.items():
         low, high = units.RANGE[units.FIELD_QUANTITY[name]]
         bad |= present[name] & ~(np.isfinite(x) & (x >= low) & (x <= high))
-    return (bad | ~present["temp_max"] | ~present["temp_min"]
-            | (values["temp_min"] > values["temp_max"]))
+    for names in ordered:
+        for low, high in zip(names, names[1:]):
+            bad |= ~(values[low] <= values[high])
+    return bad
 
 
 def _unknown_provider(code):
@@ -408,11 +425,15 @@ def _holds_float(value) -> bool:
     return value is None or (type(value) in (float, int) and abs(value) <= sys.float_info.max)
 
 
-def as_table(forecasts) -> ForecastTable:
-    """`forecasts` as a ForecastTable: the table itself, or the table of its records."""
-    if isinstance(forecasts, ForecastTable):
-        return forecasts
-    return ForecastTable.from_records(forecasts)
+def as_table(records) -> DayTable:
+    """`records` as columns read once, in input order: a table as it is, forecast
+    records (or none) as a ForecastTable, observations as an ObservationTable."""
+    if isinstance(records, DayTable):
+        return records
+    records = list(records)
+    if all(isinstance(r, ForecastRecord) for r in records):
+        return ForecastTable.from_records(records)
+    return ObservationTable.from_records(records)
 
 
 def join_days(table: ForecastTable, ordinals, horizon, providers):
@@ -450,7 +471,7 @@ def align_horizons(observations, forecasts, horizon) -> AlignResult:
     table = as_table(forecasts)
     ordered = by_date(observations)
     matched, rows, coverage = join_days(table, ordered.day, horizon, table.providers())
-    pairs = [AlignedPair(date=ordered[i].date, observed=ordered[i], forecast=table[r])
-             for i, r in zip(matched.tolist(), rows.tolist())]
+    pairs = [AlignedPair(date=observed.date, observed=observed, forecast=table[r])
+             for observed, r in zip(map(ordered.__getitem__, matched.tolist()), rows.tolist())]
     return AlignResult(pairs=pairs, coverage=coverage,
                        matched=len(pairs), total_observed=len(ordered))

@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etoforge.errors import (AuthError, CacheMiss, DuplicateDate,
+from etoforge.errors import (AuthError, CacheMiss, DuplicateColumn, DuplicateDate,
                              MissingColumn, ProviderSchemaError, RangeError,
                              RateLimited, UnitError)
-from etoforge.synthetic import (synthetic_forecasts, synthetic_site,
+from etoforge.synthetic import (synthetic_forecasts, synthetic_observations, synthetic_site,
                                 write_synthetic_cache)
 from etoforge.weather import (AlignedPair, DailyObservation, ForecastCache,
                               ForecastRecord, ForecastTable, SiteMetadata, WsSchema,
-                              align_horizons, fetch_forecasts,
+                              align_horizons, by_date, fetch_forecasts,
                               load_provider_mapping, load_ws_schema,
                               normalize_payload, parse_ws_csv,
                               providers, records_from_jsonl, records_from_npz,
@@ -238,11 +238,48 @@ def test_rows_sorted_regardless_of_file_order():
     assert [r.date.day for r in rows] == [1, 2, 3]
 
 
+def test_by_date_keeps_the_order_of_rows_of_one_date():
+    rows = [_obs(D(2022, 6, 2)), _obs(D(2022, 6, 1), temp_max=26.0), _obs(D(2022, 6, 2), precip=1.0),
+            _obs(D(2022, 6, 1), temp_max=27.0)]
+    assert list(by_date(rows)) == [rows[1], rows[3], rows[0], rows[2]]
+
+
 def test_sidecar_round_trip(tmp_path):
     path = tmp_path / "ws.schema"
     path.write_text(ws_schema_text())
     schema = load_ws_schema(path)
     assert schema.units == WsSchema.canonical().units
+
+
+def test_sidecar_declaring_a_column_twice_names_the_line(tmp_path):
+    path = tmp_path / "ws.schema"
+    path.write_text("# units\ntemp_max=degC\nrh_avg=percent\ntemp_max = degF\n")
+    with pytest.raises(UnitError, match=rf"^{path}:4: column 'temp_max' is declared twice$"):
+        load_ws_schema(path)
+
+
+@pytest.mark.parametrize("declared", [CUSTOM_UNITS, {}], ids=["units", "no-units"])
+def test_repeated_mapped_header_is_rejected_before_units_and_rows(declared):
+    # a dict per row would take the last `tmax` cell (95 degF), an index the first
+    text = CUSTOM_HEADER.rstrip("\n") + ",tmax\n2022-06-01,77,59,68,90,40,120,7.2,220,0,95\n"
+    with pytest.raises(DuplicateColumn, match=r"^column 'tmax' \(for temp_max\) appears 2 times"):
+        parse_ws_csv(io.StringIO(text), WsSchema(units=declared, columns=CUSTOM_COLUMNS))
+
+
+def test_repeated_unmapped_header_is_ignored():
+    text = "note," + CUSTOM_HEADER.rstrip("\n") + ",note\nx,2022-06-01,77,59,68,90,40,65,7.2,220,0,y\n"
+    table = parse_ws_csv(io.StringIO(text), WsSchema(units=CUSTOM_UNITS, columns=CUSTOM_COLUMNS))
+    assert table[0].temp_max == 25.0 and len(table) == 1
+
+
+def test_station_parse_adds_fewer_gc_objects_than_rows(synth):
+    site, _, _ = synth
+    text = serialize_ws_csv(synthetic_observations(site, n_days=1460, seed=11))
+    gc.collect()
+    before = len(gc.get_objects())
+    table = parse_ws_csv(io.StringIO(text), WsSchema.canonical())
+    added = len(gc.get_objects()) - before
+    assert len(table) == 1460 and added < len(table)
 
 
 # --- alignment -------------------------------------------------------------------
