@@ -16,6 +16,7 @@ mm/day for ET, 1 W/m2 for SR) are excluded and counted.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,6 +68,51 @@ class MetricReport:
             raise RangeError(f"mape={self.mape} < 0")
 
 
+class _Actual:
+    """A measured series with its side of R^2: the finite check at once, the mean and
+    the total sum of squares on first use. Passed as `actual` to :func:`metrics`, it
+    is summed once for every cell scored against it (:func:`_shared`)."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64).reshape(-1)
+        self.finite = bool(np.all(np.isfinite(self.values)))
+
+    @functools.cached_property
+    def sst(self) -> float:
+        a = self.values.tolist()
+        mean_a = math.fsum(a) / len(a)
+        # float ** 2 (C pow) differs from d * d in the last bit on some inputs;
+        # keeping it keeps every R^2 ever reported bit-identical
+        return math.fsum([(y - mean_a) ** 2 for y in a])
+
+
+def _shared(last, key, positions, column) -> _Actual:
+    """The _Actual of column[positions]: the one `last` holds for `key` when its
+    positions equal these element by element, else a new one that `last` keeps."""
+    held = last.get(key)
+    if held is None or not np.array_equal(held[0], positions):
+        last[key] = held = positions, _Actual(column[positions])
+    return held[1]
+
+
+def _r2(actual, predicted):
+    """(the _Actual of `actual`, actual - predicted, its sum of squares, R^2); raises
+    what :func:`metrics` raises, in the same order."""
+    a = actual if isinstance(actual, _Actual) else _Actual(actual)
+    p = np.asarray(predicted, dtype=np.float64).reshape(-1)
+    if a.values.shape != p.shape:
+        raise LengthMismatch(f"actual has {a.values.shape[0]} points, predicted {p.shape[0]}")
+    if p.shape[0] < 2:
+        raise LengthMismatch(f"need at least 2 points, got {p.shape[0]}")
+    if not (a.finite and np.all(np.isfinite(p))):
+        raise NonFinite("metrics inputs contain non-finite values")
+    if a.sst == 0.0:
+        raise DegenerateActuals("actual series has zero variance; R^2 undefined")
+    d = a.values - p
+    sse = math.fsum((d * d).tolist())
+    return a, d, sse, 1.0 - sse / a.sst
+
+
 def metrics(actual, predicted, *, mape_epsilon: float = 1e-9,
             units: str = "") -> MetricReport:
     """Score a prediction series against the measured one.
@@ -75,38 +121,21 @@ def metrics(actual, predicted, *, mape_epsilon: float = 1e-9,
     NonFinite on NaN/inf inputs, and DegenerateActuals when the actual
     series has zero variance (R^2 undefined).
     """
-    a = np.asarray(actual, dtype=np.float64).reshape(-1)
-    p = np.asarray(predicted, dtype=np.float64).reshape(-1)
-    if a.shape != p.shape:
-        raise LengthMismatch(f"actual has {a.shape[0]} points, predicted {p.shape[0]}")
-    n = a.shape[0]
-    if n < 2:
-        raise LengthMismatch(f"need at least 2 points, got {n}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
-        raise NonFinite("metrics inputs contain non-finite values")
-
-    mean_a = math.fsum(a.tolist()) / n
-    # float ** 2 (C pow) differs from d * d in the last bit on some inputs;
-    # keeping it keeps every R^2 ever reported bit-identical
-    sst = math.fsum([(y - mean_a) ** 2 for y in a.tolist()])
-    if sst == 0.0:
-        raise DegenerateActuals("actual series has zero variance; R^2 undefined")
-    d = a - p
-    sse = math.fsum((d * d).tolist())
-    mae = math.fsum(np.abs(d).tolist()) / n
+    a, d, sse, r2 = _r2(actual, predicted)
+    n = d.shape[0]
+    abs_d = np.abs(d)
+    mae = math.fsum(abs_d.tolist()) / n
     mse = sse / n
     rmse = math.sqrt(mse)
-    r2 = 1.0 - sse / sst
 
-    keep = np.abs(a) >= mape_epsilon
+    keep = np.abs(a.values) >= mape_epsilon
     included = int(np.count_nonzero(keep))
-    excluded = n - included
     if included:
-        mape = math.fsum((np.abs(d[keep]) / np.abs(a[keep])).tolist()) / included * 100.0
+        mape = math.fsum((abs_d[keep] / np.abs(a.values[keep])).tolist()) / included * 100.0
     else:
         mape = math.nan
     return MetricReport(r2=r2, rmse=rmse, mse=mse, mae=mae, mape=mape,
-                        n=n, mape_excluded=excluded, units=units)
+                        n=n, mape_excluded=n - included, units=units)
 
 
 _CELL_ERRORS = (LengthMismatch, DegenerateActuals, NonFinite, *pipelines.HYBRID_ERRORS)
@@ -143,8 +172,7 @@ def compare_forecast_fidelity(observations, forecasts, providers=None,
     if providers is None:
         providers = tuple(table.providers()) or PROVIDERS
     ordered = by_date(observations)
-    cells = {}
-    omissions = []
+    cells, omissions, last = {}, [], {}
     for provider, horizon, matched, rows, _ in _aligned_cells(ordered, table, providers,
                                                                horizons):
         for feature in FIDELITY_FEATURES:
@@ -154,8 +182,8 @@ def compare_forecast_fidelity(observations, forecasts, providers=None,
             try:
                 if usable.sum() < 2:
                     raise LengthMismatch(f"only {usable.sum()} usable pairs")
-                cells[key] = metrics(ordered.column(attr)[matched[usable]],
-                                     table.values[attr][rows[usable]]).r2
+                actual = _shared(last, feature, matched[usable], ordered.column(attr))
+                cells[key] = _r2(actual, table.values[attr][rows[usable]])[3]
             except (LengthMismatch, DegenerateActuals, NonFinite) as exc:
                 omissions.append((key, str(exc)))
     return FidelityReport(cells=cells, omissions=tuple(omissions))
@@ -208,7 +236,7 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
     scored = np.concatenate([np.zeros(0, dtype=np.intp), *(rows for *_, rows, _ in joined)])
     estimates = pipelines.estimate(models, table.take(scored), site, forecast_wind_height)
     end = 0
-    cells, coverage, omissions, errors = {}, {}, [], {}
+    cells, coverage, omissions, errors, last = {}, {}, [], {}, {}
     for provider, horizon, matched, positions, rows, cell_coverage in joined:
         cell = slice(end, end + rows.size)
         end = cell.stop
@@ -222,8 +250,8 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
                     sr = estimates["SR_ANN"][0][cell]
                     predicted = pipelines._physics_et0(table.take(rows), sr, site, "average",
                                                        forecast_wind_height).et0
-                actual = targets[kind][positions]
-                errors[key] = ordered.day[positions], np.abs(actual - predicted)
+                actual = _shared(last, kind, positions, targets[kind])
+                errors[key] = ordered.day[positions], np.abs(actual.values - predicted)
                 if matched.size < 2:
                     raise LengthMismatch(f"only {matched.size} matched dates")
                 cells[key] = metrics(actual, predicted, mape_epsilon=MAPE_EPSILON[kind],

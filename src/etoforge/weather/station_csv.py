@@ -75,12 +75,14 @@ def ws_schema_text() -> str:
 
 
 def _open_text(stream):
+    """The text of a stream or path, less one leading byte-order mark."""
     if hasattr(stream, "read"):
         data = stream.read()
         if isinstance(data, bytes):
             data = decode_utf8(data, getattr(stream, "name", "input stream"))
-        return io.StringIO(data)
-    return io.StringIO(read_text(stream))
+    else:
+        data = read_text(stream)
+    return io.StringIO(data.removeprefix("\ufeff"))
 
 
 def parse_ws_csv(stream, schema: WsSchema) -> ObservationTable:
@@ -91,6 +93,9 @@ def parse_ws_csv(stream, schema: WsSchema) -> ObservationTable:
     DuplicateColumn if it repeats; then UnitError for an undeclared, unknown or
     wrong-quantity unit. The rows are read as columns and checked whole; the first
     failing row in file order raises the error :func:`_raise_row_error` finds in it.
+    A line the CSV reader cannot read (a bare carriage return in a field) raises
+    RangeError naming its line, unless a row before it fails. One leading
+    byte-order mark is dropped.
     """
     reader = csv.reader(_open_text(stream))
     headers = next(reader, [])
@@ -117,7 +122,7 @@ def parse_ws_csv(stream, schema: WsSchema) -> ObservationTable:
     try:
         rows.extend(filter(None, reader))   # keeps the rows read before a failing line
     except csv.Error as exc:                # raised after the errors of those rows
-        failure = exc
+        failure = RangeError(f"line {reader.line_num}: {exc}")
     # one tuple of cells per column, after a pad cell; None where a row is short
     columns = list(itertools.zip_longest([""] * len(headers), *rows))
     cells = {name: columns[headers.index(header)][1:] for name, header in resolved.items()}

@@ -407,6 +407,8 @@ STATION_CSV_FAULTS = {
     "non-utf8": (_non_utf8, "is not UTF-8 text"),
     "duplicate-date": (_set_cell(3, 0, lambda lines: lines[2].split(b",")[0]),
                        "appears in rows 2 and 3"),
+    "bare-carriage-return": (_set_cell(3, 6, lambda lines: b"1\r2"),
+                             "error: line 4: new-line character seen in unquoted field"),
 }
 STATION_SCHEMA_FAULTS = {
     "truncated": (_truncate, "expected column=unit"),

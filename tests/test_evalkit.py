@@ -1,5 +1,6 @@
 """Metric formulas, fidelity analysis, sweeps, thresholds, report emission."""
 
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from etoforge import fao56, pipelines, regressor
+from etoforge import evalkit, fao56, pipelines, regressor
 from etoforge.errors import (DegenerateActuals, EmptyInput,
                              LengthMismatch, MissingCells, NoModels, NonFinite,
                              RangeError)
@@ -21,6 +22,7 @@ from etoforge.synthetic import (synthetic_forecasts, synthetic_observations,
                                 synthetic_site)
 from etoforge.weather import (ForecastTable, align_horizons, by_date, records_from_jsonl,
                               records_to_jsonl)
+from etoforge.weather.records import PROVIDERS
 
 from .gen_golden import GOLDEN_PATH, build_report
 from .test_pipelines import _polar_night, _zero_model
@@ -368,6 +370,171 @@ def test_sweep_metadata_flags_assumptions(degradation_sweep):
     assert meta["forecast_wind_height_m"] == 10.0
     assert meta["humidity_mode"] == "average"
     assert "pooled" in meta["metric_pooling"]
+
+
+# --- shared actual sums against per-cell metrics ----------------------------------
+
+def _per_cell_metrics(actual, predicted, *, mape_epsilon=1e-9, units=""):
+    """`metrics` as it was before cells shared an actual series' sums: every sum of
+    both series is taken in each call. Kept as the reference for the sharing."""
+    a = np.asarray(actual, dtype=np.float64).reshape(-1)
+    p = np.asarray(predicted, dtype=np.float64).reshape(-1)
+    if a.shape != p.shape:
+        raise LengthMismatch(f"actual has {a.shape[0]} points, predicted {p.shape[0]}")
+    n = a.shape[0]
+    if n < 2:
+        raise LengthMismatch(f"need at least 2 points, got {n}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
+        raise NonFinite("metrics inputs contain non-finite values")
+    mean_a = math.fsum(a.tolist()) / n
+    sst = math.fsum([(y - mean_a) ** 2 for y in a.tolist()])
+    if sst == 0.0:
+        raise DegenerateActuals("actual series has zero variance; R^2 undefined")
+    d = a - p
+    sse = math.fsum((d * d).tolist())
+    mae = math.fsum(np.abs(d).tolist()) / n
+    keep = np.abs(a) >= mape_epsilon
+    included = int(np.count_nonzero(keep))
+    mape = (math.fsum((np.abs(d[keep]) / np.abs(a[keep])).tolist()) / included * 100.0
+            if included else math.nan)
+    return MetricReport(r2=1.0 - sse / sst, rmse=math.sqrt(sse / n), mse=sse / n, mae=mae,
+                        mape=mape, n=n, mape_excluded=n - included, units=units)
+
+
+def _bits(report):
+    """A MetricReport's fields, each float as its hex digits (so NaN equals NaN)."""
+    return tuple(float.hex(v) if isinstance(v, float) else v
+                 for v in dataclasses.astuple(report))
+
+
+@pytest.fixture(scope="module")
+def gapped_world(small_world):
+    """(site, observations, forecast table) whose cells match different day sets.
+
+    Days 0-19 hold one shortwave value and no rain, so their SR target and
+    precipitation are constant; days 20-39 hold shortwave below MAPE's 1 W/m2,
+    so an SR cell of those days alone has a NaN MAPE. VC issues horizons 0-2
+    for days 0-19 only, horizon 3 for days 20-39 only, horizon 4 for one day,
+    and every fifth day is missing from its horizons 5-7; OWM covers every day
+    of horizons 0-7. One OWM horizon-6 row has a NaN wind, and one VC horizon-1
+    row a NaN precipitation on the rainless days: a cell both non-finite and of zero
+    variance, which reports the non-finite input.
+    """
+    site, observations = small_world
+    edited = []
+    for k, o in enumerate(observations):
+        if k < 20:
+            o = dataclasses.replace(o, sr_avg=180.0, sr_max=None, precip=0.0)
+        elif k < 40:
+            o = dataclasses.replace(o, sr_avg=0.1 + 0.04 * (k - 20), sr_max=None)
+        edited.append(o)
+    first = edited[0].date
+
+    def vc_keeps(f):
+        k = (f.target_date - first).days
+        return {0: k < 20, 1: k < 20, 2: k < 20, 3: 20 <= k < 40, 4: k == 50}.get(
+            f.horizon, k % 5 != 0)
+
+    horizons = range(8)
+    records = ([f for f in synthetic_forecasts(edited, "VC", seed=5, horizons=horizons)
+                if vc_keeps(f)]
+               + synthetic_forecasts(edited, "OWM", seed=6, horizons=horizons))
+    table = ForecastTable.from_records(records)
+    owm, vc = PROVIDERS.index("OWM"), PROVIDERS.index("VC")
+    row = int(np.flatnonzero((table.provider == owm) & (table.horizon == 6))[10])
+    table.values["wind_avg"][row] = np.nan
+    row = int(np.flatnonzero((table.provider == vc) & (table.horizon == 1))[3])
+    table.values["precip"][row] = np.nan
+    return site, edited, table
+
+
+def _per_cell_sweep(models, observations, table, site, horizons, providers):
+    """(cells, omissions) of the sweep, each cell estimated and scored on its own."""
+    ordered = by_date(observations)
+    targets = {"ET0": pipelines.build_et0_target(ordered, site, "average").values,
+               "SR": pipelines.build_sr_target(ordered).values}
+    cells, omissions = {}, []
+    for provider, horizon, matched, rows, _ in _aligned_cells(ordered, table, providers,
+                                                               horizons):
+        usable = table.present["rh_avg"][rows] & table.present["wind_avg"][rows]
+        positions = matched[usable]
+        estimates = pipelines.estimate(models, table.take(rows[usable]), site)
+        for estimator in pipelines.ESTIMATORS:
+            key = (horizon, provider, estimator)
+            kind = "SR" if estimator == "SR_ANN" else "ET0"
+            try:
+                predicted = estimates[estimator][0]
+                if matched.size < 2:
+                    raise LengthMismatch(f"only {matched.size} matched dates")
+                cells[key] = _per_cell_metrics(
+                    targets[kind][positions], predicted,
+                    mape_epsilon=evalkit.MAPE_EPSILON[kind], units=evalkit.UNITS_NOTE[kind])
+            except evalkit._CELL_ERRORS as exc:
+                omissions.append((key, str(exc)))
+    return cells, omissions
+
+
+def test_shared_sums_equal_per_cell_metrics(gapped_world, full_models):
+    site, observations, table = gapped_world
+    providers, horizons = ("VC", "OWM"), range(8)
+    sweep = horizon_sweep(full_models, observations, table, site, horizons, providers,
+                          humidity_mode="average")
+    cells, omissions = _per_cell_sweep(full_models, observations, table, site, horizons,
+                                       providers)
+    assert list(sweep.cells) == list(cells)
+    assert all(_bits(sweep.cells[key]) == _bits(cells[key]) for key in cells)
+    assert sweep.omissions == tuple(omissions)
+    reasons = {reason.split(";")[0] for _, reason in omissions}
+    assert {"only 1 matched dates", "metrics inputs contain non-finite values",
+            "actual series has zero variance"} <= reasons
+    assert any(math.isnan(report.mape) for report in cells.values())
+    assert {report.n for report in cells.values()} == {20, 72, 90}
+
+    fidelity = compare_forecast_fidelity(observations, table, providers, horizons)
+    ordered = by_date(observations)
+    expected, lost = {}, []
+    for provider, horizon, matched, rows, _ in _aligned_cells(ordered, table, providers,
+                                                               horizons):
+        for feature in FIDELITY_FEATURES:
+            attr = evalkit._FEATURE_ATTR[feature]
+            usable = table.present[attr][rows]
+            key = (feature, provider, horizon)
+            try:
+                if usable.sum() < 2:
+                    raise LengthMismatch(f"only {usable.sum()} usable pairs")
+                expected[key] = _per_cell_metrics(ordered.column(attr)[matched[usable]],
+                                                  table.values[attr][rows[usable]]).r2
+            except (LengthMismatch, DegenerateActuals, NonFinite) as exc:
+                lost.append((key, str(exc)))
+    assert list(fidelity.cells) == list(expected)
+    assert [float.hex(r2) for r2 in fidelity.cells.values()] == \
+        [float.hex(r2) for r2 in expected.values()]
+    assert fidelity.omissions == tuple(lost)
+    assert {reason for _, reason in lost} >= {
+        "only 1 usable pairs", "metrics inputs contain non-finite values",
+        "actual series has zero variance; R^2 undefined"}
+
+
+def test_sweep_calls_metrics_once_per_scored_cell(gapped_world, full_models, monkeypatch):
+    """The sweep scores each cell through the module's `metrics`, so a wrapper of it
+    (the tracer's `evalkit.scored_rows`) sees every scored cell once."""
+    site, observations, table = gapped_world
+    calls, reports = [], []
+
+    def counting(actual, predicted, **kwargs):
+        calls.append(len(predicted))
+        reports.append(metrics(actual, predicted, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(evalkit, "metrics", counting)
+    sweep = horizon_sweep(full_models, observations, table, site, range(8), ("VC", "OWM"),
+                          humidity_mode="average")
+    assert reports == list(sweep.cells.values())
+    raised = [key for key, reason in sweep.omissions
+              if reason.startswith(("metrics inputs", "actual series"))]
+    assert len(calls) == len(sweep.cells) + len(raised)
+    assert sum(report.n for report in reports) == sum(
+        report.n for report in sweep.cells.values())
 
 
 # --- usable horizon -----------------------------------------------------------------

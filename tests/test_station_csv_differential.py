@@ -47,7 +47,7 @@ def reference_parse(text, schema):
         convert[canonical] = units.converter(units.FIELD_QUANTITY[canonical],
                                              schema.units[header])
     observations, seen = [], {}
-    for rownum, row in enumerate(reader, start=1):
+    for rownum, row in enumerate(_rows(reader), start=1):
         try:
             day = dt.date.fromisoformat((row.get(date_header) or "").strip())
         except ValueError as exc:
@@ -73,6 +73,14 @@ def reference_parse(text, schema):
         except RangeError as exc:
             raise RangeError(str(exc), row=rownum) from exc
     return sorted(observations, key=lambda o: o.date)
+
+
+def _rows(reader):
+    """The reader's rows; RangeError naming the line it cannot read."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise RangeError(f"line {reader.reader.line_num}: {exc}") from exc
 
 
 def reference_serialize(observations) -> str:
@@ -174,7 +182,7 @@ def file_cases():
         for bad, torn in ((0, 4), (4, 0)):
             rows = base_rows(layout)
             rows[bad][header.index(schema.header_for("rh_avg"))] = "120"
-            rows[torn][0] = "1\r2"   # a bare carriage return: csv.Error
+            rows[torn][0] = "1\r2"   # a bare carriage return: RangeError naming its line
             yield f"{name}-range-row{bad + 1}-torn-row{torn + 1}", schema, csv_text(header, rows)
     schema, header = WsSchema.canonical(), CSV_FIELDS[1:] + ("date",)
     rows = [row[1:] + row[:1] for row in base_rows(CANONICAL)]

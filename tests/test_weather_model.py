@@ -163,6 +163,49 @@ def test_non_utf8_stream_is_a_range_error():
         parse_ws_csv(io.BytesIO(b"date,temp_max\n\xff\xfe"), WsSchema.canonical())
 
 
+def _written(text, path):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("as_stream", [
+    lambda text, path: io.StringIO(text),
+    lambda text, path: io.BytesIO(text.encode("utf-8")),
+    _written,
+], ids=["text-stream", "bytes-stream", "path"])
+def test_a_leading_byte_order_mark_is_dropped(synth, tmp_path, as_stream):
+    _, observations, _ = synth
+    text = serialize_ws_csv(observations[:10])
+    assert not text.startswith("\ufeff")
+    plain = parse_ws_csv(io.StringIO(text), WsSchema.canonical())
+    marked = parse_ws_csv(as_stream("\ufeff" + text, tmp_path / "ws.csv"),
+                          WsSchema.canonical())
+    assert serialize_ws_csv(marked) == serialize_ws_csv(plain)
+    with pytest.raises(MissingColumn, match="date column"):   # only one mark is dropped
+        parse_ws_csv(as_stream("\ufeff\ufeff" + text, tmp_path / "ws.csv"),
+                     WsSchema.canonical())
+
+
+@pytest.mark.parametrize("rh_row", [None, 2, 5])
+def test_a_bare_carriage_return_names_its_line(synth, rh_row):
+    """A line the CSV reader cannot read raises RangeError naming it, after the
+    error of a failing row before it, as the row-by-row parse read them."""
+    _, observations, _ = synth
+    lines = serialize_ws_csv(observations[:6]).split("\n")
+    lines[4] = lines[4].replace(",", ",1\r", 1)
+    if rh_row is not None:
+        cells = lines[rh_row].split(",")
+        cells[6] = "120"
+        lines[rh_row] = ",".join(cells)
+    with pytest.raises(RangeError) as err:
+        parse_ws_csv(io.StringIO("\n".join(lines)), WsSchema.canonical())
+    if rh_row == 2:
+        assert str(err.value).startswith("row 2: ")
+    else:
+        assert str(err.value) == ("line 5: new-line character seen in unquoted field - "
+                                  "do you need to open the file in universal-newline mode?")
+
+
 def test_parse_two_year_synthetic_file(synth):
     _, observations, _ = synth
     text = serialize_ws_csv(observations)
