@@ -9,6 +9,7 @@ through `etoforge.cli.main` (`ingest ws`, `ingest forecast --offline`, `train
 REPEATS times each, in this process:
 
 - `evaluate`: the whole command, `cli.main(["evaluate", ...])`;
+- `load_forecasts`: `cli._load_forecasts`, the store's hash plus its sidecar's read;
 - `horizon_sweep` and `compare_forecast_fidelity` on the inputs `evaluate`
   loads (observations, forecast table, both models);
 - `distributions.csv`: the bytes of `evalkit.distribution_chunks` of the sweep.
@@ -75,6 +76,7 @@ def main(n_days=N_DAYS, repeats=REPEATS) -> int:
             outputs.add(str(workloads.out_dir_digest(ws.out_dir)))
         if len(outputs) != 1:
             raise SystemExit("repeats of evaluate wrote different files")
+        stages["load_forecasts"], _ = timed(lambda: cli._load_forecasts(cfg), repeats)
         stages["horizon_sweep"], sweep = timed(lambda: evalkit.horizon_sweep(
             bundle, observations, forecasts, site, horizons=cfg.horizons,
             providers=cfg.providers, humidity_mode=cfg.humidity_mode,

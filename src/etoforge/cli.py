@@ -24,10 +24,9 @@ import numpy as np
 from . import evalkit, fao56, pipelines, regressor
 from .config import ConfigError, build_config
 from .errors import CorruptModel, EmptyInput, EtoforgeError, MissingCells, VersionMismatch
-from .weather import (MAX_HORIZON, PROVIDERS, ForecastTable, PayloadMemo, WsSchema,
+from .weather import (MAX_HORIZON, PROVIDERS, ForecastSidecar, ForecastTable, WsSchema,
                       decode_utf8, fetch_forecasts, load_ws_schema, parse_ws_csv,
-                      records_from_jsonl, records_from_npz, records_to_npz, serialize_ws_csv,
-                      splice_runs, store_chunks, ws_schema_text)
+                      records_from_jsonl, records_to_npz, serialize_ws_csv, ws_schema_text)
 
 OBS_STORE = "observations.csv"
 OBS_SCHEMA = "observations.schema"
@@ -115,23 +114,6 @@ def _load_observations(cfg):
     return _parse_station_csv(store, schema or WsSchema.canonical())
 
 
-def _store_chunks(table, out_dir: Path, named, stored):
-    """The UTF-8 chunks of the store of `table`, or None when the store in out_dir is
-    that store already. When that store has the digest `named` its sidecar names, and
-    `stored` is that sidecar's table, the lines of the rows it holds are copied from it
-    (:func:`splice_runs`), read here, before the chunks are written over that store."""
-    old = None
-    if len(stored):
-        with contextlib.suppress(OSError):
-            old = (out_dir / FORECAST_STORE).read_bytes()
-        if old is not None and hashlib.sha256(old).digest() != named:
-            old = None   # not held while the store is formatted
-    if old is None:
-        return store_chunks(table)
-    runs = splice_runs(table, stored, old)
-    return None if runs == [old] else runs
-
-
 def _load_forecasts(cfg):
     """(the forecast table, the store's (name, SHA-256 digest) for the manifest). The
     store's text is read only when its column sidecar is not valid for it."""
@@ -139,7 +121,7 @@ def _load_forecasts(cfg):
     if not store.is_file():
         raise ConfigError(f"no ingested forecasts at {store}; run `ingest forecast` first")
     digest = _sha256(store)
-    table = records_from_npz(cfg.out_dir / FORECAST_COLUMNS, digest)
+    table = ForecastSidecar(cfg.out_dir / FORECAST_COLUMNS).table_for(digest)
     if table is None:
         table = records_from_jsonl(decode_utf8(store.read_bytes(), store))
     if not len(table):
@@ -194,17 +176,13 @@ def cmd_ingest_forecast(cfg) -> int:
                               if cfg.start_date else
                               f"end_date={end} is before the first observed date {start}")
     site = cfg.site()
-    # the sidecar's rows and keys spare payloads their normalizing; after the fetch, the
-    # lines of its rows are copied from the store on disk, once its hash shows it is its own
-    memo = PayloadMemo(cfg.out_dir / FORECAST_COLUMNS)
+    # the sidecar's rows and keys spare payloads their normalizing, its lines their formatting
+    sidecar = ForecastSidecar(cfg.out_dir / FORECAST_COLUMNS)
     tables = []
     for provider in cfg.providers:
-        # a provider listed twice has its rows twice in the sidecar, where no key tells
-        # them apart: such a run neither reuses nor records a payload
         table = fetch_forecasts(
             provider, site, (start, end), cache_dir=cfg.forecast_cache, offline=cfg.offline,
-            tz_offset_hours=cfg.tz_offset_hours,
-            memo=memo if len(set(cfg.providers)) == len(cfg.providers) else None)
+            tz_offset_hours=cfg.tz_offset_hours, sidecar=sidecar)
         tables.append(table)
         cells = np.unique(table.target * (MAX_HORIZON + 1) + table.horizon)
         days, per_date = np.unique(cells // (MAX_HORIZON + 1), return_counts=True)
@@ -213,15 +191,15 @@ def cmd_ingest_forecast(cfg) -> int:
         print(f"{provider}: {len(table)} forecast records across "
               f"{days.size} target dates, {spread} horizons per date")
     table = ForecastTable.concat(tables)
-    chunks = _store_chunks(table, cfg.out_dir, memo.named, memo.stored)
+    chunks = sidecar.chunks_for(table, cfg.out_dir / FORECAST_STORE)
     if chunks is None:   # the store on disk holds these bytes: keep it and its digest
-        digest = memo.named
+        digest = sidecar.named
         print(f"wrote {cfg.out_dir / FORECAST_STORE}")
     else:
         digest = _write(cfg.out_dir, FORECAST_STORE, chunks)
-    sidecar = _write_chunks(cfg.out_dir, FORECAST_COLUMNS,
-                            [records_to_npz(table, digest, **memo.members())])
-    _write_manifest(cfg.out_dir, cfg.seed, (FORECAST_STORE, digest), (FORECAST_COLUMNS, sidecar))
+    columns = _write_chunks(cfg.out_dir, FORECAST_COLUMNS,
+                            [records_to_npz(table, digest, **sidecar.members())])
+    _write_manifest(cfg.out_dir, cfg.seed, (FORECAST_STORE, digest), (FORECAST_COLUMNS, columns))
     return 0
 
 

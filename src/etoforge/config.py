@@ -134,13 +134,15 @@ class RunConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def require_paths(self, *names) -> None:
-        """Fail with ConfigError unless every named path is set and exists."""
+        """Fail with ConfigError unless every named path is set and is a file."""
         for name in names:
             value = getattr(self, name)
             if value is None:
                 raise ConfigError(f"config key {name} is required for this command")
             if not Path(value).exists():
                 raise ConfigError(f"{name} path does not exist: {value}")
+            if not Path(value).is_file():
+                raise ConfigError(f"{name} path is not a file: {value}")
 
 
 def build_config(config_path=None, overrides=None) -> RunConfig:
@@ -168,6 +170,8 @@ def build_config(config_path=None, overrides=None) -> RunConfig:
     for provider in cfg.providers:
         if provider not in PROVIDERS:
             raise ConfigError(f"unknown provider {provider!r}; expected {PROVIDERS}")
+    if len(set(cfg.providers)) != len(cfg.providers):
+        raise ConfigError(f"providers repeat a name: {list(cfg.providers)}")
     unknown = [f for f in cfg.features if f not in FEATURE_NAMES]
     if unknown:
         raise ConfigError(f"unknown feature(s) {unknown}; available: {FEATURE_NAMES}")

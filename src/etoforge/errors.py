@@ -67,6 +67,10 @@ class ProviderSchemaError(EtoforgeError):
     """A provider payload entry is missing a required field."""
 
 
+class Unreachable(EtoforgeError):
+    """A provider request failed on the network (no connection, a timeout)."""
+
+
 class CacheMiss(EtoforgeError):
     """Offline mode requested a payload that is not in the cache."""
 

@@ -235,6 +235,7 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
         joined.append((provider, horizon, matched, matched[usable], rows[usable], cell_coverage))
     scored = np.concatenate([np.zeros(0, dtype=np.intp), *(rows for *_, rows, _ in joined)])
     estimates = pipelines.estimate(models, table.take(scored), site, forecast_wind_height)
+    sr_only = pipelines.ModelBundle(sr_model=models.sr_model)
     end = 0
     cells, coverage, omissions, errors, last = {}, {}, [], {}, {}
     for provider, horizon, matched, positions, rows, cell_coverage in joined:
@@ -246,10 +247,9 @@ def horizon_sweep(models: ModelBundle, observations, forecasts, site,
             try:
                 try:
                     predicted = estimates[estimator][0][cell]
-                except pipelines.HYBRID_ERRORS:  # a day failed: rerun this cell's physics only
-                    sr = estimates["SR_ANN"][0][cell]
-                    predicted = pipelines._physics_et0(table.take(rows), sr, site, "average",
-                                                       forecast_wind_height).et0
+                except pipelines.HYBRID_ERRORS:  # a day failed: rerun this cell's hybrid only
+                    predicted = pipelines.estimate(sr_only, table.take(rows), site,
+                                                   forecast_wind_height)[estimator][0]
                 actual = _shared(last, kind, positions, targets[kind])
                 errors[key] = ordered.day[positions], np.abs(actual.values - predicted)
                 if matched.size < 2:

@@ -7,9 +7,9 @@ from .records import (MAX_HORIZON, PROVIDERS, AlignedPair, AlignResult,
 from .station_csv import (WsSchema, load_ws_schema, parse_ws_csv,
                           serialize_ws_csv, ws_schema_text)
 from .normalize import FieldMap, ProviderMapping, load_provider_mapping, normalize_payload
-from .providers import (ENV_KEYS, ForecastCache, PayloadMemo, fetch_forecasts,
-                        records_from_jsonl, records_from_npz, records_to_jsonl,
-                        records_to_npz, splice_runs, store_chunks)
+from .providers import (ENV_KEYS, ForecastCache, ForecastSidecar, fetch_forecasts,
+                        records_from_jsonl, records_to_jsonl, records_to_npz, splice_runs,
+                        store_chunks)
 from . import units
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "load_ws_schema",
     "parse_ws_csv", "serialize_ws_csv", "ws_schema_text", "ENV_KEYS", "FieldMap",
     "ForecastCache",
-    "PayloadMemo", "ProviderMapping", "fetch_forecasts", "load_provider_mapping",
-    "normalize_payload", "records_from_jsonl", "records_from_npz", "records_to_jsonl",
+    "ForecastSidecar", "ProviderMapping", "fetch_forecasts", "load_provider_mapping",
+    "normalize_payload", "records_from_jsonl", "records_to_jsonl",
     "records_to_npz", "splice_runs", "store_chunks", "units",
 ]

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import (AuthError, CacheMiss, ProviderSchemaError, RangeError,
-                      RateLimited)
+                      RateLimited, Unreachable)
 from . import normalize, records, units
 from .normalize import load_provider_mapping, normalize_payload, tz_shift
 from .records import (FORECAST_FIELDS, MAX_HORIZON, PROVIDERS, ForecastTable,
@@ -131,7 +131,7 @@ def splice_runs(records, stored: ForecastTable, store: bytes):
     """Buffers whose concatenation is the UTF-8 of `records_to_jsonl(records)`, formatting
     only the rows `stored` lacks.
 
-    `stored` is the table of the column sidecar of `store` (:func:`records_from_npz`),
+    `stored` is the table of the column sidecar of `store` (:class:`ForecastSidecar`),
     so line i of `store` is the text of its row i. A row that `stored` holds with the
     same provider, dates, extras text, `present` masks and present values bit for bit
     (-0.0 == 0.0, but their texts differ) takes that line; lines back to back in
@@ -202,39 +202,15 @@ def records_to_npz(records, store_sha256: bytes, **members) -> bytes:
     return out.getvalue()
 
 
-def records_from_npz(path, store_sha256: bytes) -> ForecastTable | None:
-    """The table a column sidecar at `path` holds, if it is valid for the store
-    whose SHA-256 digest is `store_sha256`.
-
-    Valid means: it is the sidecar :func:`records_to_npz` writes, every
-    member passes its CRC check, its `store_sha256` is that digest, its
-    dates are date ordinals, each extras text is a JSON object, and its
-    columns pass the checks :meth:`ForecastTable.from_json` runs. The
-    sidecar `ingest forecast` wrote for a store then gives the table
-    `records_from_jsonl(store text)` gives, column for column and
-    extras text for extras text. Otherwise, a missing, stale, truncated or
-    garbled file included, this returns None and never raises. The hash
-    covers the store, not the columns: a sidecar re-packed by hand with
-    other values that pass these checks is read.
-    """
-    try:
-        with np.load(path) as archive:
-            return _sidecar_table(archive, store_sha256)
-    except Exception:  # any unreadable sidecar only means the store text is parsed
-        return None
-
-
-def _sidecar_table(archive, store_sha256) -> ForecastTable | None:
-    """:func:`records_from_npz` of the open sidecar `archive`; raises where it does not read."""
+def _sidecar_table(archive) -> ForecastTable | None:
+    """The open sidecar `archive`'s table if valid, else None; raises where a member won't read."""
     texts = json.loads(archive["extras"].tobytes().decode("utf-8"))
     extras = [json.loads(text) for text in texts]
     provider, target, issue, index = (archive[key] for key in
                                       ("provider", "target", "issue", "extras_index"))
     columns = (archive["values"], archive["present"])
     n = target.size
-    if (archive["store_sha256"].tobytes() != store_sha256
-            or any(a.dtype != np.int64 or a.shape != (n,)
-                   for a in (provider, target, issue, index))
+    if (any(a.dtype != np.int64 or a.shape != (n,) for a in (provider, target, issue, index))
             or [a.dtype for a in columns] != [np.float64, np.bool_]
             or any(a.shape != (len(FORECAST_FIELDS), n) for a in columns)
             or not (isinstance(texts, list) and all(isinstance(e, dict) for e in extras))
@@ -330,7 +306,10 @@ def _build_request(provider, site, issue_date, credentials):
 
 def _fetch_one(provider, site, issue_date, credentials, cache, http_get):
     url, params = _build_request(provider, site, issue_date, credentials)
-    status, headers, body = http_get(url, params)
+    try:
+        status, headers, body = http_get(url, params)
+    except OSError as exc:   # requests' errors are OSErrors too
+        raise Unreachable(f"{provider} request for {issue_date} failed: {exc}") from exc
     if status in (401, 403):
         raise AuthError(f"{provider} rejected the API key (HTTP {status})")
     if status == 429:
@@ -343,28 +322,52 @@ def _fetch_one(provider, site, issue_date, credentials, cache, http_get):
     return body
 
 
-class PayloadMemo:
-    """The column sidecar at `path`, read once: what :func:`fetch_forecasts` may reuse.
+class ForecastSidecar:
+    """The column sidecar at `path` (:func:`records_to_npz`), the one reader of it.
 
-    `named` is the store digest the sidecar names; `stored` its table if
-    :func:`records_from_npz` accepts it for that digest, else no rows. `digests` maps
-    each (provider code, issue ordinal) of `payloads` (int64, (n, 2)) to its key in
-    `payload_sha256` (uint8, (n, 32)), the SHA-256 of :func:`_payload_context` and the
-    payload's text; `stored` holds all their rows inside its target dates. Keys of
-    other dtypes or shapes, or without rows, are left out. Never raises. `clean` gets
-    the key of each payload the ingest reads whose normalization skipped no entry.
+    `named` is the store digest it names; `table` its table (the one `records_from_jsonl`
+    gives that store, if the ingest wrote it) when each member read passes its CRC check,
+    dates are ordinals, extras texts JSON objects and the columns pass the checks of
+    `ForecastTable.from_json`, else no rows. The hash covers the store, not the columns.
+    `clean` gets the key of each payload the ingest reads that skipped no entry.
     """
 
     def __init__(self, path):
-        self.named, self.stored, self.digests, self.clean = None, ForecastTable.concat([]), {}, {}
-        # an unreadable sidecar, table or key member leaves out what it would give
+        self.path, self.named, self.table, self.clean = path, None, None, {}
+        # an unreadable sidecar or table leaves out what it would give
         with contextlib.suppress(Exception), np.load(path) as archive:
             self.named = archive["store_sha256"].tobytes()
-            self.stored = _sidecar_table(archive, self.named) or self.stored
+            self.table = _sidecar_table(archive)
+        self.table = self.table or ForecastTable.concat([])
+
+    def table_for(self, store_sha256: bytes) -> ForecastTable | None:
+        """`table` if it holds rows and the sidecar names the digest `store_sha256`."""
+        return self.table if len(self.table) and self.named == store_sha256 else None
+
+    @functools.cached_property
+    def digests(self) -> dict:
+        """Each (provider code, issue ordinal) of `payloads` mapped to its key in `payload_sha256`,
+        the SHA-256 of :func:`_payload_context` and the payload's text; `table` holds all their
+        rows inside its target dates. Read on first use; none beside no rows or of bad shapes."""
+        with contextlib.suppress(Exception), np.load(self.path) as archive:
             days, sha = archive["payloads"], archive["payload_sha256"]
-            if (len(self.stored) and (days.dtype, sha.dtype) == (np.int64, np.uint8)
+            if (len(self.table) and archive["store_sha256"].tobytes() == self.named
+                    and (days.dtype, sha.dtype) == (np.int64, np.uint8)
                     and days.shape[1:] == (2,) and sha.shape == (len(days), 32)):
-                self.digests = dict(zip(map(tuple, days.tolist()), map(bytes, sha)))
+                return dict(zip(map(tuple, days.tolist()), map(bytes, sha)))
+        return {}
+
+    def chunks_for(self, records, store_path):
+        """The UTF-8 chunks of the store of `records`, or None if the store at `store_path`
+        is that store already. The lines of the rows `table` holds are copied from that
+        store when its SHA-256 is `named` (:func:`splice_runs`), else all are formatted."""
+        old = None
+        with contextlib.suppress(OSError):
+            old = Path(store_path).read_bytes() if len(self.table) else None
+        if old is None or hashlib.sha256(old).digest() != self.named:
+            return store_chunks(records)
+        runs = splice_runs(records, self.table, old)
+        return None if runs == [old] else runs
 
     def members(self) -> dict:
         """`clean` as the sidecar's `payloads` and `payload_sha256` members."""
@@ -388,7 +391,7 @@ def _payload_context(tz_offset_hours: float) -> bytes:
 def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
                     credentials: str | None = None, *,
                     cache_dir, offline: bool = False, http_get=None,
-                    tz_offset_hours: float | None = None, memo=None) -> ForecastTable:
+                    tz_offset_hours: float | None = None, sidecar=None) -> ForecastTable:
     """Forecasts covering every target date in `date_range` (inclusive), as one table.
 
     For each target date you get up to ``MAX_HORIZON + 1`` rows (d0 up
@@ -397,9 +400,9 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     payload is replayed from the cache when it is there; otherwise it is
     skipped in offline mode, and in online mode fetched and cached
     verbatim before normalization. Offline, CacheMiss is raised only when
-    the whole issue-date window has nothing to replay. A payload whose key `memo`
-    (a :class:`PayloadMemo`) holds is not normalized when the days it gives rows for
-    inside `date_range` lie within `memo.stored`'s target dates: its rows come from there.
+    the whole issue-date window has nothing to replay. A payload whose key `sidecar`
+    (a :class:`ForecastSidecar`) holds is not normalized when the days it gives rows for
+    inside `date_range` lie within its table's target dates: its rows come from there.
     """
     if provider not in PROVIDERS:
         raise RangeError(f"unknown provider {provider!r}; expected one of {PROVIDERS}")
@@ -417,7 +420,7 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
             raise AuthError(
                 f"online mode needs credentials ({ENV_KEYS[provider]} unset)")
         http_get = http_get or _default_http_get
-    code, memo = PROVIDERS.index(provider), memo or PayloadMemo(None)
+    code, sidecar = PROVIDERS.index(provider), sidecar or ForecastSidecar(None)
     context = _payload_context(tz_offset_hours)
 
     first_issue = start - dt.timedelta(days=MAX_HORIZON)
@@ -439,17 +442,17 @@ def fetch_forecasts(provider: str, site: SiteMetadata, date_range,
     # the same process by about 8 MB (1,460 synthetic days).
     keys = {issued: hashlib.sha256(context + body.encode("utf-8")).digest()
             for issued, body in bodies.items()}
-    first, last, stored = start.toordinal(), end.toordinal(), memo.stored
+    first, last, stored = start.toordinal(), end.toordinal(), sidecar.table
     low, high = (stored.target.min(), stored.target.max()) if len(stored) else (1, 0)
     # a payload issued on `day` gives rows for day..day + MAX_HORIZON only
     fresh = {issued: normalize_payload(body, issued, mapping, tz_offset_hours)
              for issued, body in bodies.items()
-             if memo.digests.get((code, day := issued.toordinal())) != keys[issued]
+             if sidecar.digests.get((code, day := issued.toordinal())) != keys[issued]
              or not low <= max(day, first) <= min(day + MAX_HORIZON, last) <= high}
     reused = [issued.toordinal() for issued in bodies if issued not in fresh]
     table = ForecastTable.concat([*fresh.values(), stored.take(np.flatnonzero(
         (stored.provider == code) & np.isin(stored.issue, reused)))])
-    memo.clean.update(((code, issued.toordinal()), keys[issued]) for issued in bodies
-                      if issued not in fresh or not fresh[issued].skipped)
+    sidecar.clean.update(((code, issued.toordinal()), keys[issued]) for issued in bodies
+                         if issued not in fresh or not fresh[issued].skipped)
     rows = np.flatnonzero((table.target >= first) & (table.target <= last))
     return table.take(rows[np.lexsort((table.horizon[rows], table.target[rows]))])

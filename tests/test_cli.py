@@ -18,14 +18,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 import etoforge
 from etoforge import cli, evalkit, regressor
 from etoforge.cli import main
 from etoforge.synthetic import (synthetic_dataset, synthetic_forecasts,
                                 write_synthetic_cache)
-from etoforge.weather import (MAX_HORIZON, ForecastTable, providers, records_from_jsonl,
-                              records_from_npz, records_to_jsonl, records_to_npz,
+from etoforge.weather import (MAX_HORIZON, ForecastSidecar, ForecastTable, providers,
+                              records_from_jsonl, records_to_jsonl, records_to_npz,
                               serialize_ws_csv, store_chunks, ws_schema_text)
 from etoforge.weather.records import as_table
 
@@ -312,6 +313,40 @@ def test_predict_ws_source_rejects_a_horizon(big_ws, capsys):
     assert not (big_ws["out"] / "predictions_et0_ann_ws_d3.csv").exists()
 
 
+@pytest.mark.parametrize("key, name", [("ws_csv", "ws.csv"), ("ws_schema", "ws.schema")])
+def test_a_directory_as_station_input_is_a_config_error(small_ws, tmp_path, capsys, key, name):
+    """A station CSV or schema path that names a directory ends in exit 2 and one
+    error line naming its key, with no traceback, and leaves `out/` as it was."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    path = root / name
+    path.unlink()
+    path.mkdir()
+    before = _file_bytes(root / "out")
+    capsys.readouterr()
+    assert _run_in_copy(small_ws, root, ["ingest", "ws"]) == 2
+    assert capsys.readouterr().err == f"error: {key} path is not a file: {path}\n"
+    assert _file_bytes(root / "out") == before
+
+
+def test_online_network_failure_is_a_typed_failure(small_ws, tmp_path, capsys, monkeypatch):
+    """`ingest forecast` online, its request failing on the network, exits 3 with one
+    error line naming the provider, caches nothing and leaves `out/` as it was."""
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+    shutil.rmtree(root / "cache")
+    (root / "cache").mkdir()
+
+    def fail(url, params):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setenv("ETOFORGE_VC_API_KEY", "key")
+    monkeypatch.setattr(providers, "_default_http_get", fail)
+    _assert_typed_failure(small_ws, root, ["ingest", "forecast"], "error: VC request for ",
+                          capsys)
+    assert not any((root / "cache").rglob("*"))
+
+
 def test_sr_ann_does_not_need_the_hybrid_physics(tmp_path, capsys):
     site, observations, _ = _polar_night()
     _write_inputs(tmp_path, observations, [])
@@ -595,9 +630,9 @@ def test_repacked_sidecar_is_not_read(small_ws, tmp_path, fault):
     shutil.copy(small_ws["root"] / "out" / "forecasts.npz", sidecar)
     store = (small_ws["root"] / "out" / "forecasts.jsonl").read_bytes()
     digest = hashlib.sha256(store).digest()
-    assert records_from_npz(sidecar, digest) is not None
+    assert ForecastSidecar(sidecar).table_for(digest) is not None
     for _ in SIDECAR_FAULTS[fault](sidecar):
-        assert records_from_npz(sidecar, digest) is None
+        assert ForecastSidecar(sidecar).table_for(digest) is None
 
 
 def _sub(pattern, replacement):
@@ -931,17 +966,16 @@ def test_payload_memo_is_the_same_after_a_cold_and_a_warm_ingest(payload_ws, tmp
     assert keys.shape == (len(payloads), 2) and digests.shape == (len(payloads), 32)
 
 
-def test_a_repeated_provider_leaves_no_memo_to_reuse(payload_ws, tmp_path, capsys, monkeypatch):
-    """A provider listed twice puts its rows in the sidecar twice, so that run
-    neither reuses nor records a payload, and the next run normalizes them all."""
-    _cold_copy(payload_ws, tmp_path / "cold")
-    expected = _ingest_outputs(payload_ws, tmp_path / "cold", capsys, monkeypatch)
+def test_a_repeated_provider_is_refused(payload_ws, tmp_path, capsys, monkeypatch):
+    """A provider listed twice would put its rows in the store twice: `ingest
+    forecast` exits 2 with one error line naming the list, normalizes no payload
+    and leaves `out/` as it was."""
     root = tmp_path / "ws"
     shutil.copytree(payload_ws["root"], root)
-    twice = _ingest_outputs(payload_ws, root, capsys, monkeypatch,
-                            "--set", "providers=VC,OWM,VC")
-    assert twice[0] == 0 and len(twice[4]) == len(expected[4]) + len(expected[4]) // 2
-    assert _ingest_outputs(payload_ws, root, capsys, monkeypatch)[3:] == expected[3:]
+    before = _file_bytes(root / "out")
+    got = _ingest_outputs(payload_ws, root, capsys, monkeypatch, "--set", "providers=VC,OWM,VC")
+    assert got[:3] == (2, "", "error: providers repeat a name: ['VC', 'OWM', 'VC']\n")
+    assert got[4] == [] and _file_bytes(root / "out") == before
 
 
 _SHA256 = hashlib.sha256
@@ -1032,8 +1066,8 @@ def test_store_reuse_fault_matrix(payload_ws, tmp_path, capsys, monkeypatch,
 
 
 def _formatting(monkeypatch):
-    """The list of the row counts of the `store_chunks` calls made from now, by `cli`
-    or by `splice_runs`."""
+    """The list of the row counts of the `store_chunks` calls made from now, by
+    `ForecastSidecar.chunks_for` or by `splice_runs`."""
     calls = []
     format_store = providers.store_chunks
 
@@ -1041,7 +1075,6 @@ def _formatting(monkeypatch):
         calls.append(len(table))
         return format_store(table)
 
-    monkeypatch.setattr(cli, "store_chunks", counting)
     monkeypatch.setattr(providers, "store_chunks", counting)
     return calls
 
@@ -1109,8 +1142,9 @@ class _Interrupted(Exception):
 
 
 CUT_WRITES = {   # (the file a command is cut writing: its command, the formatter cut, set-up)
-    "forecasts-jsonl-splice": ("ingest-forecast", cli, "_store_chunks", []),
-    "forecasts-jsonl-cold": ("ingest-forecast", cli, "_store_chunks", [cli.FORECAST_COLUMNS]),
+    "forecasts-jsonl-splice": ("ingest-forecast", ForecastSidecar, "chunks_for", []),
+    "forecasts-jsonl-cold": ("ingest-forecast", ForecastSidecar, "chunks_for",
+                             [cli.FORECAST_COLUMNS]),
     "distributions-csv": ("evaluate", evalkit, "distribution_chunks", []),
 }
 
@@ -1243,7 +1277,8 @@ def test_sidecar_table_equals_the_store_parse(big_ws):
     """The sidecar gives the table the store text parses to, bit for bit."""
     store = (big_ws["out"] / "forecasts.jsonl").read_bytes()
     parsed = records_from_jsonl(store.decode("utf-8"))
-    loaded = records_from_npz(big_ws["out"] / "forecasts.npz", hashlib.sha256(store).digest())
+    loaded = ForecastSidecar(big_ws["out"] / "forecasts.npz").table_for(
+        hashlib.sha256(store).digest())
     assert loaded is not None and len(loaded) == len(parsed) > 0
     for name in ("provider", "target", "issue", "horizon"):
         a, b = getattr(loaded, name), getattr(parsed, name)
@@ -1266,6 +1301,31 @@ def test_valid_sidecar_skips_the_store_parse(small_ws, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "records_from_jsonl", unused)
     for command in STORE_READERS.values():
         assert _run_in_copy(small_ws, root, command) == 0
+
+
+@pytest.mark.parametrize("reader", STORE_READERS)
+def test_broken_payload_keys_leave_the_sidecar_table_read(small_ws, tmp_path, capsys,
+                                                           monkeypatch, reader):
+    """Payload keys broken beside a valid table (a member's bytes flipped, a member
+    deleted, or of another dtype or shape): `evaluate` and `predict --source vc` still
+    read the sidecar's table, never parse the store text nor read the keys, and give
+    the output and `out/` bytes they give with an intact sidecar."""
+    command = STORE_READERS[reader]
+    base = tmp_path / "base"
+    shutil.copytree(small_ws["root"], base)
+    expected = _command_outputs(small_ws, base, command, capsys)
+    assert expected[0] == 0, expected[2]
+    root = tmp_path / "ws"
+    shutil.copytree(small_ws["root"], root)
+
+    def unused(text):
+        raise AssertionError("the store text was parsed")
+
+    monkeypatch.setattr(cli, "records_from_jsonl", unused)
+    monkeypatch.setattr(ForecastSidecar, "digests",
+                        property(lambda sidecar: pytest.fail("the payload keys were read")))
+    for _ in _bad_keys(root / "out" / cli.FORECAST_COLUMNS):
+        assert _command_outputs(small_ws, root, command, capsys) == expected
 
 
 @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])

@@ -74,14 +74,16 @@ MESSAGES = [
     ({"wind_sensor_height": "0.05"}, "wind_sensor_height=0.05 must be finite and above 0.0947 m"),
     ({"forecast_wind_height": "0.05"},
      "forecast_wind_height=0.05 must be finite and above 0.0947 m"),
+    # newer: a provider listed twice would put its rows in the store twice
+    ({"providers": "VC,OWM,VC"}, "providers repeat a name: ['VC', 'OWM', 'VC']"),
 ]
 
 
 def _message_id(overrides):
     """A MESSAGES case's test id: the key it sets, with the value for a 0.05 m
-    wind height (the key alone names that key's `0` case)."""
+    wind height (the key alone names that key's `0` case) and repeated providers."""
     (key, value), = overrides.items()
-    return f"{key}={value}" if value == "0.05" else key
+    return f"{key}={value}" if value in ("0.05", "VC,OWM,VC") else key
 
 
 def test_every_key_parses_to_its_typed_value():

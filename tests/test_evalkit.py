@@ -280,6 +280,36 @@ def test_sweep_fallback_omits_only_the_cells_whose_physics_fails():
     assert _same_errors(alone.errors, {k: v for k, v in sweep.errors.items() if k[0] == 0})
 
 
+def test_sweep_fallback_scores_the_provider_without_polar_night_days():
+    """At latitude 80, VC forecasts lack the polar-night days and OWM's hold them, so
+    the whole-sweep hybrid fails. Each ET0_HYB cell is then scored on its own: VC's
+    bit for bit as in a per-cell sweep, OWM's omitted with the physics reason."""
+    site, _, _ = _polar_night()
+    observations = synthetic_observations(site, n_days=365, seed=3)
+    sunlit = {o.date for o in observations
+              if fao56.extraterrestrial_radiation(site.latitude_rad,
+                                                  o.date.timetuple().tm_yday) > 0.0}
+    table = ForecastTable.from_records(
+        [f for f in synthetic_forecasts(observations, "VC", seed=3, horizons=(0, 1))
+         if f.target_date in sunlit]
+        + synthetic_forecasts(observations, "OWM", seed=4, horizons=(0, 1)))
+    # an SR model whose shortwave follows its features and stays above 0
+    sr_model = dataclasses.replace(_zero_model("SR", 200.0),
+                                   weights=(np.full((len(pipelines.FEATURE_NAMES), 1), 0.5),))
+    bundle = ModelBundle(et0_model=_zero_model("ET0", 0.5), sr_model=sr_model)
+    sweep = horizon_sweep(bundle, observations, table, site, (0, 1), ("VC", "OWM"),
+                          humidity_mode="average")
+    cells, omissions = _per_cell_sweep(bundle, observations, table, site, (0, 1),
+                                       ("VC", "OWM"))
+    assert list(sweep.cells) == list(cells)
+    assert all(_bits(sweep.cells[key]) == _bits(cells[key]) for key in cells)
+    assert sweep.omissions == tuple(omissions)
+    assert {(h, "VC", "ET0_HYB") for h in (0, 1)} <= set(sweep.cells)
+    assert [key for key, _ in sweep.omissions] == [(h, "OWM", "ET0_HYB") for h in (0, 1)]
+    assert all(reason.endswith(": measured shortwave with zero extraterrestrial radiation")
+               for _, reason in sweep.omissions)
+
+
 def test_sweep_runs_each_model_once_over_every_cell(synth, full_models, monkeypatch):
     """The 2-provider, 16-horizon sweep scores all its cells' rows in one
     predict_batch call per model."""

@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from etoforge.weather import (ForecastRecord, ForecastTable, load_provider_mapping,
-                              normalize_payload, records_from_jsonl, records_from_npz,
+from etoforge.weather import (ForecastRecord, ForecastSidecar, ForecastTable,
+                              load_provider_mapping, normalize_payload, records_from_jsonl,
                               records_to_jsonl, records_to_npz, store_chunks)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -91,7 +91,7 @@ def test_store_writer_is_byte_identical_to_json_dumps(rows):
     assert records_to_jsonl(records_from_jsonl(store)) == store
     data = store.encode("utf-8")
     digest = hashlib.sha256(data).digest()
-    loaded = records_from_npz(io.BytesIO(records_to_npz(table, digest)), digest)
+    loaded = ForecastSidecar(io.BytesIO(records_to_npz(table, digest))).table
     in_store_order = sorted(range(len(table)), key=lambda i: (
         table[i].provider, table.target[i], table.issue[i]))
     assert loaded.extras.tolist() == table.extras[in_store_order].tolist()

@@ -11,20 +11,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 from etoforge.errors import (AuthError, CacheMiss, DuplicateColumn, DuplicateDate,
                              MissingColumn, ProviderSchemaError, RangeError,
-                             RateLimited, UnitError)
+                             RateLimited, UnitError, Unreachable)
 from etoforge.synthetic import (synthetic_forecasts, synthetic_observations, synthetic_site,
                                 write_synthetic_cache)
-from etoforge.weather import (AlignedPair, DailyObservation, ForecastCache,
-                              ForecastRecord, ForecastTable, SiteMetadata, WsSchema,
-                              align_horizons, by_date, fetch_forecasts,
+from etoforge.weather import (MAX_HORIZON, AlignedPair, DailyObservation, ForecastCache,
+                              ForecastRecord, ForecastSidecar, ForecastTable, SiteMetadata,
+                              WsSchema, align_horizons, by_date, fetch_forecasts,
                               load_provider_mapping, load_ws_schema,
                               normalize_payload, parse_ws_csv,
-                              providers, records_from_jsonl, records_from_npz,
-                              records_to_jsonl, records_to_npz, serialize_ws_csv,
-                              splice_runs, units, ws_schema_text)
+                              providers, records_from_jsonl, records_to_jsonl,
+                              records_to_npz, serialize_ws_csv, splice_runs, units,
+                              ws_schema_text)
 
 D = dt.date
 
@@ -478,6 +479,24 @@ def test_online_rate_limited(tmp_path):
     assert err.value.retry_after == 30.0
 
 
+@pytest.mark.parametrize("failure", [OSError("network is unreachable"),
+                                     requests.ConnectionError("connection refused")],
+                         ids=["os-error", "requests-connection-error"])
+def test_online_network_failure_is_typed(tmp_path, failure):
+    """A request that fails on the network raises Unreachable naming the provider
+    and the issue date, and caches nothing."""
+    def fail(url, params):
+        raise failure
+
+    first = D(2022, 6, 1) - dt.timedelta(days=MAX_HORIZON)
+    with pytest.raises(Unreachable) as err:
+        fetch_forecasts("OWM", synthetic_site(), (D(2022, 6, 1), D(2022, 6, 1)),
+                        credentials="key", cache_dir=tmp_path, offline=False, http_get=fail)
+    assert str(err.value) == f"OWM request for {first} failed: {failure}"
+    assert err.value.__cause__ is failure
+    assert not any(tmp_path.rglob("*.json"))
+
+
 def test_online_caches_verbatim_before_normalizing(tmp_path):
     day = D(2022, 6, 1)
     seen = []
@@ -837,7 +856,7 @@ def test_splice_store_gives_the_formatted_store(synth, monkeypatch, edit):
             enumerate(forecasts["VC"][:160] + forecasts["OWM"][:160])]
     digest = bytes(range(32))
     store = records_to_jsonl(base).encode("utf-8")
-    stored = records_from_npz(io.BytesIO(records_to_npz(base, digest)), digest)
+    stored = ForecastSidecar(io.BytesIO(records_to_npz(base, digest))).table
     formatted, format_store = [], providers.store_chunks
     monkeypatch.setattr(providers, "store_chunks",
                         lambda table: formatted.append(len(table)) or format_store(table))
